@@ -44,6 +44,7 @@ from .analytic import (
     AtomXState,
     WeightTable,
     weight_table,
+    xstate_series,
     xstate_gg,
     xstate_ee,
     negativity_closed_form,
@@ -92,6 +93,7 @@ __all__ = [
     "AtomXState",
     "WeightTable",
     "weight_table",
+    "xstate_series",
     "xstate_gg",
     "xstate_ee",
     "negativity_closed_form",

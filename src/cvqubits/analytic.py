@@ -27,6 +27,7 @@ __all__ = [
     "AtomXState",
     "WeightTable",
     "weight_table",
+    "xstate_series",
     "xstate_gg",
     "xstate_ee",
     "negativity_closed_form",
@@ -117,71 +118,80 @@ def weight_table(s, r, n_max: int) -> WeightTable:
     return WeightTable(s, r, n_max)
 
 
-def _xstate(s, r, lambda_t, n_max: int, initial: str) -> AtomXState:
+def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> list[AtomXState]:
+    """Reduced atom states at every interaction time in ``lambda_ts``.
+
+    One weight table serves the whole series; the Rabi angles carry the
+    time axis, so each ladder level costs one array operation for all
+    times.  Each element is an exactly rounded sum over the levels.
+    """
     sq = s if isinstance(s, SqueezeParam) else SqueezeParam(s)
     cp = r if isinstance(r, CouplingParam) else CouplingParam(r)
-    lt = float(lambda_t)
+    lts = np.asarray(lambda_ts, dtype=float)
+    if lts.ndim != 1:
+        raise ValueError(f"lambda_ts must be one-dimensional, got shape {lts.shape}")
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if initial not in ("gg", "ee"):
+        raise ValueError(f"initial must be 'gg' or 'ee', got {initial!r}")
     table = WeightTable(sq, cp, n_max)
     # an excited atom rides the ladder one rung higher than a ground one
     shift = 0 if initial == "gg" else 1
 
-    # per-level exchange (flip) and survival (stay) probabilities of one atom
-    flip = np.empty(n_max + 1)
-    stay = np.empty(n_max + 1)
+    # per-level exchange (flip) and survival (stay) probabilities of one
+    # atom; rows are levels, columns are times
+    flip = np.empty((n_max + 1, lts.size))
+    stay = np.empty((n_max + 1, lts.size))
     for n in range(n_max + 1):
         row_sq = table.rows[n] ** 2
-        rabi = lt * np.sqrt(n - np.arange(n + 1) + shift)
-        flip[n] = float(row_sq @ np.sin(rabi) ** 2)
-        stay[n] = float(row_sq @ np.cos(rabi) ** 2)
+        rabi = np.sqrt(n - np.arange(n + 1) + shift)[:, None] * lts
+        flip[n] = row_sq @ np.sin(rabi) ** 2
+        stay[n] = row_sq @ np.cos(rabi) ** 2
 
-    w_same = table.prefactor[:: 2][: n_max + 1]  # (tanh s)^(2n)/cosh^2 s
+    w_same = table.prefactor[:: 2][: n_max + 1, None]  # (tanh s)^(2n)/cosh^2 s
     if initial == "gg":
-        a = math.fsum(w_same * flip * flip)
-        b = math.fsum(w_same * flip * stay)
-        d = math.fsum(w_same * stay * stay)
+        a = _level_sums(w_same * flip * flip)
+        b = _level_sums(w_same * flip * stay)
+        d = _level_sums(w_same * stay * stay)
     else:
-        a = math.fsum(w_same * stay * stay)
-        b = math.fsum(w_same * stay * flip)
-        d = math.fsum(w_same * flip * flip)
-    c = b  # identical cavities and couplings on both sides
+        a = _level_sums(w_same * stay * stay)
+        b = _level_sums(w_same * stay * flip)
+        d = _level_sums(w_same * flip * flip)
 
     # corner coherence: couples neighbouring levels, so it only exists for
     # pairs (n, n+1) that both fit under the cutoff
-    corner_terms = []
+    corner = np.empty((n_max, lts.size))
     for n in range(n_max):
         k = np.arange(n + 1)
         cross = table.rows[n + 1][: n + 1] * table.rows[n][k]
-        j = (n - k + shift).astype(float)
+        j = (n - k + shift).astype(float)[:, None]
         if initial == "gg":
-            amp = float(cross @ (np.sin(lt * np.sqrt(j + 1.0)) * np.cos(lt * np.sqrt(j))))
+            amp = cross @ (np.sin(np.sqrt(j + 1.0) * lts) * np.cos(np.sqrt(j) * lts))
         else:
-            amp = float(cross @ (np.cos(lt * np.sqrt(j + 1.0)) * np.sin(lt * np.sqrt(j))))
-        corner_terms.append(table.prefactor[2 * n + 1] * amp * amp)
+            amp = cross @ (np.cos(np.sqrt(j + 1.0) * lts) * np.sin(np.sqrt(j) * lts))
+        corner[n] = table.prefactor[2 * n + 1] * amp * amp
     # each cavity contributes one emission amplitude carrying -i; their
     # product makes the physical corner the negative of the bare sum
-    e_coh = -math.fsum(corner_terms)
+    e_coh = [-total for total in _level_sums(corner)]
 
-    return AtomXState(
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        e_coh=e_coh,
-        s=sq.s,
-        r=cp.r,
-        lambda_t=lt,
-        initial=initial,
-        n_max=n_max,
-        tail_weight=sq.tanh ** (2 * (n_max + 1)),
-    )
+    tail = sq.tanh ** (2 * (n_max + 1))
+    return [
+        # c = b: identical cavities and couplings on both sides
+        AtomXState(a=ai, b=bi, c=bi, d=di, e_coh=ei, s=sq.s, r=cp.r, lambda_t=lt,
+                   initial=initial, n_max=n_max, tail_weight=tail)
+        for ai, bi, di, ei, lt in zip(a, b, d, e_coh, lts.tolist())
+    ]
+
+
+def _level_sums(terms: np.ndarray) -> list[float]:
+    """Exactly rounded sum over the level axis (rows) for every time (column)."""
+    return [math.fsum(column) for column in terms.T.tolist()]
 
 
 def xstate_gg(s, r, lambda_t, n_max: int) -> AtomXState:
     """Reduced atom state for both atoms starting in the ground state."""
-    return _xstate(s, r, lambda_t, n_max, "gg")
+    return xstate_series(s, r, (lambda_t,), n_max, "gg")[0]
 
 
 def xstate_ee(s, r, lambda_t, n_max: int) -> AtomXState:
@@ -192,7 +202,7 @@ def xstate_ee(s, r, lambda_t, n_max: int) -> AtomXState:
     extra quantum each atom brings in.  The dense oracle, not the
     transcription, is the ground truth the tests enforce.
     """
-    return _xstate(s, r, lambda_t, n_max, "ee")
+    return xstate_series(s, r, (lambda_t,), n_max, "ee")[0]
 
 
 def negativity_closed_form(x: AtomXState) -> float:

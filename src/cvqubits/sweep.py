@@ -2,22 +2,23 @@
 
 A sweep walks the (s, r, initial, lambda_t) grid in a fixed nesting order,
 computes the entanglement measure with the requested engine(s), and emits
-one CSV row per point.  Number formatting and grid generation are
+one CSV row per point.  The walk is serial and goes one (s, r) group at
+a time: the analytic engine evaluates each (s, r, initial) as one series
+over all times, and the oracle's injected field lives only while its
+group is walked.  Number formatting and grid generation are
 deterministic, so rerunning a configuration reproduces the file byte for
-byte no matter how the work was scheduled.
+byte.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytic import AtomXState, negativity_closed_form, xstate_ee, xstate_gg
+from .analytic import AtomXState, negativity_closed_form, xstate_series
 from .entanglement import negativity_general
 from .fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
 from .jcdynamics import AtomState, reduce_atoms_direct
@@ -41,10 +42,6 @@ INITIALS = ("gg", "ee")
 CSV_HEADER = "s,r,lambda_t,initial,measure,n_max,tail_weight,engine,disagreement"
 DISAGREE_TOL = 1e-8
 
-# fault-injection hook for tests: callable(point, AtomXState) -> AtomXState,
-# applied to every analytic evaluation during verify()
-VERIFY_PERTURB = None
-
 
 class ConfigError(ValueError):
     """Bad parameter ranges or malformed configuration (exit code 1)."""
@@ -66,7 +63,7 @@ class SweepConfig:
     tail_tol: float = 1e-10
     n_max: int | None = None
     out: str | None = None
-    threads: int | None = None
+    threads: int | None = None  # accepted for compatibility; the walk is serial
 
     def validate(self) -> "SweepConfig":
         if not self.s_values:
@@ -79,6 +76,9 @@ class SweepConfig:
         for r in self.r_values:
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"reflection coefficient must lie in [0, 1], got {r}")
+        for flag, value in (("lt-start", self.lt_start), ("lt-stop", self.lt_stop)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
         if self.lt_steps < 1:
             raise ConfigError(f"lt-steps must be >= 1, got {self.lt_steps}")
         if self.lt_stop < self.lt_start:
@@ -92,8 +92,8 @@ class SweepConfig:
                 raise ConfigError(f"initial state must be one of {INITIALS}, got {ini!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if not self.tail_tol > 0.0:
-            raise ConfigError(f"tail-tol must be > 0, got {self.tail_tol}")
+        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
+            raise ConfigError(f"tail-tol must be finite and > 0, got {self.tail_tol}")
         if self.n_max is not None and self.n_max < 1:
             raise ConfigError(f"n-max must be >= 1, got {self.n_max}")
         if self.threads is not None and self.threads < 1:
@@ -149,77 +149,62 @@ def _matrix_parts(m: np.ndarray) -> tuple[float, float, float, float, float]:
     return (m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, m[0, 3].real)
 
 
-def _analytic_point(s, r, lt, initial, n_max) -> tuple[AtomXState, float]:
-    builder = xstate_gg if initial == "gg" else xstate_ee
-    x = builder(s, r, lt, n_max)
-    return x, negativity_closed_form(x)
+def _walk(config: SweepConfig):
+    """Yield (row, oracle state) per grid point, in emission order.
 
-
-def _grid(config: SweepConfig):
-    """Emission order: s, then r, then initial, then time."""
-    lts = config.lt_values()
-    for s in config.s_values:
-        for r in config.r_values:
-            for initial in config.initials:
-                for lt in lts:
-                    yield (s, r, initial, float(lt))
-
-
-def _build_fields(config: SweepConfig):
-    """One injected field per (s, r), shared read-only by all grid points."""
-    fields = {}
-    policy = config.policy()
-    for s in config.s_values:
-        psi = squeezed_state(SqueezeParam(s), policy)
-        for r in config.r_values:
-            fields[(s, r)] = inject(psi, CouplingParam(r), s=SqueezeParam(s), policy=policy)
-    return fields
-
-
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evaluate the grid; rows come back in emission order.
-
-    With engine "both" each row carries the worst element-wise distance
-    between the two engines; the caller decides whether that is fatal
-    (the CLI exits nonzero past DISAGREE_TOL).
+    Emission order is s, then r, then initial, then time.  The analytic
+    engine evaluates each (s, r, initial) as one series over all times.
+    The oracle injects one field when an (s, r) group starts and drops it
+    when the group ends; its reduced 4x4 state comes along with each row
+    (None for the analytic engine alone).
     """
     config.validate()
     policy = config.policy()
-    need_oracle = config.engine in ("oracle", "both")
-    fields = _build_fields(config) if need_oracle else {}
-    resolve = {s: policy.resolve(SqueezeParam(s)) for s in config.s_values}
+    lts = config.lt_values()
+    use_analytic = config.engine in ("analytic", "both")
+    use_oracle = config.engine in ("oracle", "both")
+    for s in config.s_values:
+        sq = SqueezeParam(s)
+        n_max, tail = policy.resolve(sq)
+        psi = squeezed_state(sq, policy) if use_oracle else None
+        for r in config.r_values:
+            field = inject(psi, CouplingParam(r), s=sq, policy=policy) if use_oracle else None
+            for initial in config.initials:
+                if use_analytic:
+                    states = xstate_series(s, r, lts, n_max, initial)
+                else:
+                    states = [None] * len(lts)
+                for lt, x in zip(lts.tolist(), states):
+                    measure = disagreement = rho4 = None
+                    if use_analytic:
+                        measure = negativity_closed_form(x)
+                    if use_oracle:
+                        rho4 = reduce_atoms_direct(AtomState(initial), field, lt)
+                        report = negativity_general(rho4)
+                        if not use_analytic:
+                            measure = report.measure
+                        else:
+                            deltas = [
+                                abs(p - q) for p, q in zip(_x_parts(x), _matrix_parts(rho4.matrix))
+                            ]
+                            deltas.append(abs(measure - report.measure))
+                            disagreement = max(deltas)
+                    row = SweepRow(s, r, initial=initial, lambda_t=lt, measure=measure,
+                                   n_max=n_max, tail_weight=tail, engine=config.engine,
+                                   disagreement=disagreement)
+                    yield row, rho4
+            field = None  # release this group's field before the next one is built
 
-    def evaluate(point) -> SweepRow:
-        s, r, initial, lt = point
-        n_max, tail = resolve[s]
-        measure_a = x = None
-        if config.engine in ("analytic", "both"):
-            x, measure_a = _analytic_point(s, r, lt, initial, n_max)
-        disagreement = None
-        measure = measure_a
-        if need_oracle:
-            rho4 = reduce_atoms_direct(AtomState(initial), fields[(s, r)], lt)
-            report = negativity_general(rho4)
-            if config.engine == "oracle":
-                measure = report.measure
-            else:
-                deltas = [
-                    abs(p - q) for p, q in zip(_x_parts(x), _matrix_parts(rho4.matrix))
-                ]
-                deltas.append(abs(measure_a - report.measure))
-                disagreement = max(deltas)
-        return SweepRow(s, r, initial=initial, lambda_t=lt, measure=measure,
-                        n_max=n_max, tail_weight=tail, engine=config.engine,
-                        disagreement=disagreement)
 
-    points = list(_grid(config))
-    workers = config.threads if config.threads is not None else (os.cpu_count() or 1)
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, points))
-    else:
-        rows = [evaluate(p) for p in points]
-    return rows
+def run_sweep(config: SweepConfig) -> list[SweepRow]:
+    """Evaluate the grid in one serial walk; rows come back in emission order.
+
+    With engine "both" each row carries the worst element-wise distance
+    between the two engines; the caller decides whether that is fatal
+    (the CLI exits nonzero past DISAGREE_TOL).  ``config.threads`` is
+    accepted and validated but selects nothing.
+    """
+    return [row for row, _ in _walk(config)]
 
 
 def write_csv(rows: list[SweepRow], stream) -> None:
@@ -248,31 +233,17 @@ def default_verify_config() -> SweepConfig:
 def verify(config: SweepConfig, stream=None) -> bool:
     """Hold the closed forms against the dense oracle, point by point.
 
-    Prints one line per grid point with the worst element-wise deviation,
-    plus state-invariant checks on the oracle's reduced state; returns
-    False (and names the offending point) on any violation.
+    Consumes the same walk as ``run_sweep(engine="both")`` and adds
+    state-invariant checks on the oracle's reduced state.  Prints one line
+    per grid point with the worst element-wise deviation; returns False
+    (and names the offending point) on any violation.
     """
     stream = stream if stream is not None else sys.stdout
-    config = replace(config, engine="both").validate()
-    policy = config.policy()
-    fields = _build_fields(config)
-    resolve = {s: policy.resolve(SqueezeParam(s)) for s in config.s_values}
-
     failures = 0
     worst = 0.0
     count = 0
-    for s, r, initial, lt in _grid(config):
-        n_max, tail = resolve[s]
-        x, measure_a = _analytic_point(s, r, lt, initial, n_max)
-        if VERIFY_PERTURB is not None:
-            x = VERIFY_PERTURB((s, r, initial, lt), x)
-            measure_a = negativity_closed_form(x)
-        rho4 = reduce_atoms_direct(AtomState(initial), fields[(s, r)], lt)
-        report = negativity_general(rho4)
-
-        deltas = [abs(p - q) for p, q in zip(_x_parts(x), _matrix_parts(rho4.matrix))]
-        deltas.append(abs(measure_a - report.measure))
-        disagreement = max(deltas)
+    for row, rho4 in _walk(replace(config, engine="both")):
+        disagreement = row.disagreement
         worst = max(worst, disagreement)
 
         problems = []
@@ -292,8 +263,8 @@ def verify(config: SweepConfig, stream=None) -> bool:
         count += 1
         tag = "ok" if not problems else "FAIL " + "; ".join(problems)
         stream.write(
-            f"s={_fmt(s)} r={_fmt(r)} initial={initial} lambda_t={_fmt(lt)} "
-            f"n_max={n_max} disagreement={disagreement:.3e} {tag}\n"
+            f"s={_fmt(row.s)} r={_fmt(row.r)} initial={row.initial} lambda_t={_fmt(row.lambda_t)} "
+            f"n_max={row.n_max} disagreement={disagreement:.3e} {tag}\n"
         )
         failures += bool(problems)
 

@@ -5,10 +5,12 @@ import pytest
 
 from cvqubits.analytic import (
     AtomXState,
+    WeightTable,
     negativity_closed_form,
     weight_table,
     xstate_ee,
     xstate_gg,
+    xstate_series,
 )
 from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
 from cvqubits.jcdynamics import AtomState, reduce_atoms_direct
@@ -182,6 +184,84 @@ def test_xstate_matches_dense_reduction(initial, s, r, lt):
     assert abs(rho[3, 3].real - x.d) < 1e-13
     assert abs(rho[0, 3].real - x.e_coh) < 1e-13
     assert abs(rho[0, 3].imag) < 1e-13
+
+
+def reference_xstate(s, r, lambda_t, n_max, initial):
+    """The ladder sums one interaction time at a time, as first written.
+
+    Kept as the reference that the time-broadcast series is held against.
+    """
+    sq = SqueezeParam(s)
+    cp = CouplingParam(r)
+    lt = float(lambda_t)
+    table = WeightTable(sq, cp, n_max)
+    shift = 0 if initial == "gg" else 1
+
+    flip = np.empty(n_max + 1)
+    stay = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        row_sq = table.rows[n] ** 2
+        rabi = lt * np.sqrt(n - np.arange(n + 1) + shift)
+        flip[n] = float(row_sq @ np.sin(rabi) ** 2)
+        stay[n] = float(row_sq @ np.cos(rabi) ** 2)
+
+    w_same = table.prefactor[:: 2][: n_max + 1]
+    if initial == "gg":
+        a = math.fsum(w_same * flip * flip)
+        b = math.fsum(w_same * flip * stay)
+        d = math.fsum(w_same * stay * stay)
+    else:
+        a = math.fsum(w_same * stay * stay)
+        b = math.fsum(w_same * stay * flip)
+        d = math.fsum(w_same * flip * flip)
+
+    corner_terms = []
+    for n in range(n_max):
+        k = np.arange(n + 1)
+        cross = table.rows[n + 1][: n + 1] * table.rows[n][k]
+        j = (n - k + shift).astype(float)
+        if initial == "gg":
+            amp = float(cross @ (np.sin(lt * np.sqrt(j + 1.0)) * np.cos(lt * np.sqrt(j))))
+        else:
+            amp = float(cross @ (np.cos(lt * np.sqrt(j + 1.0)) * np.sin(lt * np.sqrt(j))))
+        corner_terms.append(table.prefactor[2 * n + 1] * amp * amp)
+    e_coh = -math.fsum(corner_terms)
+
+    return AtomXState(a=a, b=b, c=b, d=d, e_coh=e_coh, s=sq.s, r=cp.r, lambda_t=lt,
+                      initial=initial, n_max=n_max, tail_weight=sq.tanh ** (2 * (n_max + 1)))
+
+
+SERIES_TOL = 4 * np.finfo(float).eps  # elements are <= 1
+
+
+@pytest.mark.parametrize("lambda_ts", [(11.0,), (0.0, 0.4, 1.1, 2.8, 5.0, 11.0, 15.0)])
+@pytest.mark.parametrize("initial", ["gg", "ee"])
+@pytest.mark.parametrize("r", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("s", [0.0, 0.3, 1.2])  # s = 1.2 needs n_max > 20: log-space rows
+def test_xstate_series_matches_pointwise_reference(s, r, initial, lambda_ts):
+    n_max, tail = TruncationPolicy().resolve(SqueezeParam(s))
+    series = xstate_series(s, r, lambda_ts, n_max, initial)
+    assert len(series) == len(lambda_ts)
+    for lt, x in zip(lambda_ts, series):
+        ref = reference_xstate(s, r, lt, n_max, initial)
+        for name in ("a", "b", "c", "d", "e_coh"):
+            assert abs(getattr(x, name) - getattr(ref, name)) <= SERIES_TOL, (name, lt)
+        assert (x.s, x.r, x.lambda_t, x.initial, x.n_max) == (s, r, lt, initial, n_max)
+        assert x.tail_weight == tail == ref.tail_weight
+
+
+def test_xstate_single_point_is_the_one_element_series():
+    for build, initial in ((xstate_gg, "gg"), (xstate_ee, "ee")):
+        for s, r, lt, n_max in [(0.65, 0.25, 11.0, 20), (1.2, 0.7, 3.3, 63), (0.3, 0.0, 0.0, 9)]:
+            assert build(s, r, lt, n_max) == xstate_series(s, r, [lt], n_max, initial)[0]
+
+
+def test_xstate_series_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        xstate_series(0.65, 0.0, [[1.0, 2.0]], 10, "gg")
+    with pytest.raises(ValueError):
+        xstate_series(0.65, 0.0, [1.0], 10, "eg")
+    assert xstate_series(0.65, 0.0, [], 10, "gg") == []
 
 
 # ------------------------------------------------------------ closed measure

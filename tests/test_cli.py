@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -75,6 +76,13 @@ def test_sweep_config_validation_errors():
         SweepConfig(s_values=[0.3], engine="magic").validate()
     with pytest.raises(ConfigError):
         SweepConfig(s_values=[-1.0]).validate()
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="lt-start"):
+            SweepConfig(s_values=[0.3], lt_start=bad, lt_stop=bad).validate()
+        with pytest.raises(ConfigError, match="lt-stop"):
+            SweepConfig(s_values=[0.3], lt_stop=bad).validate()
+        with pytest.raises(ConfigError, match="tail-tol"):
+            SweepConfig(s_values=[0.3], tail_tol=bad).validate()
 
 
 def test_row_formatting_uses_twelve_significant_digits():
@@ -159,6 +167,18 @@ def test_cli_flag_mistakes_exit_one(capsys):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("flags,knob", [
+    (["--lt-stop", "inf", "--lt-steps", "3"], "lt-stop"),
+    (["--lt-start", "nan"], "lt-start"),
+    (["--tail-tol", "inf"], "tail-tol"),
+])
+def test_cli_rejects_non_finite_inputs(flags, knob, capsys):
+    assert main(["sweep", "--s", "0.5", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{knob} must be finite" in captured.err
+
+
 def test_cli_preset_fig2_grid(tmp_path):
     out = tmp_path / "fig2.csv"
     assert main(["preset", "fig2", "--out", str(out)]) == 0
@@ -188,10 +208,13 @@ def test_cli_verify_clean_grid(capsys):
 
 
 def test_cli_verify_catches_corrupted_engine(capsys, monkeypatch):
-    def skew(point, x):
-        return replace(x, e_coh=x.e_coh + 1e-5)
+    # corrupt the closed-form corner coherence the walk reads
+    real = sweep_mod.xstate_series
 
-    monkeypatch.setattr(sweep_mod, "VERIFY_PERTURB", skew)
+    def skewed(*args, **kwargs):
+        return [replace(x, e_coh=x.e_coh + 1e-5) for x in real(*args, **kwargs)]
+
+    monkeypatch.setattr(sweep_mod, "xstate_series", skewed)
     assert main(["verify", *SMALL, "--initial", "gg"]) == 3
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
