@@ -24,7 +24,6 @@ from .fieldprep import (
     TruncationPolicy,
     CavityFieldState,
     squeezed_state,
-    binom_coeff,
     binom_row,
     inject,
     inject_oracle,
@@ -43,7 +42,6 @@ from .jcdynamics import (
 from .analytic import (
     AtomXState,
     WeightTable,
-    weight_table,
     xstate_series,
     xstate_gg,
     xstate_ee,
@@ -77,7 +75,6 @@ __all__ = [
     "TruncationPolicy",
     "CavityFieldState",
     "squeezed_state",
-    "binom_coeff",
     "binom_row",
     "inject",
     "inject_oracle",
@@ -92,7 +89,6 @@ __all__ = [
     "total_excitation",
     "AtomXState",
     "WeightTable",
-    "weight_table",
     "xstate_series",
     "xstate_gg",
     "xstate_ee",

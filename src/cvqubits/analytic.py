@@ -26,7 +26,6 @@ from .fieldprep import CouplingParam, SqueezeParam, binom_row
 __all__ = [
     "AtomXState",
     "WeightTable",
-    "weight_table",
     "xstate_series",
     "xstate_gg",
     "xstate_ee",
@@ -69,10 +68,10 @@ class WeightTable:
     """Photon-ladder weights of the injected field.
 
     The four-index table K[n][m][k][l] factorizes into per-level splitting
-    rows and a scalar prefactor (tanh s)^(n+m)/cosh^2 s, so only the rows
-    are stored; single entries and whole (n, m) blocks are assembled on
-    demand.  Rows run one level past n_max because the corner coherence
-    couples neighbouring levels.
+    rows and a scalar prefactor (tanh s)^(n+m)/cosh^2 s:
+    K[n][m][k][l] = prefactor[n+m] * rows[n][k] rows[m][k] rows[n][l] rows[m][l].
+    Only the rows and the prefactor are stored.  Rows run one level past
+    n_max because the corner coherence couples neighbouring levels.
     """
 
     def __init__(self, s, r, n_max: int) -> None:
@@ -85,37 +84,6 @@ class WeightTable:
         self.rows = [binom_row(n, self.coupling) for n in range(n_max + 2)]
         powers = self.s.tanh ** np.arange(2 * n_max + 3, dtype=float)
         self.prefactor = powers / self.s.cosh**2
-
-    def entry(self, n: int, m: int, k: int, l: int) -> float:
-        if not (0 <= n < len(self.rows) and 0 <= m < len(self.rows)):
-            raise IndexError(f"level out of range: n={n}, m={m}")
-        if k < 0 or l < 0 or k > min(n, m) or l > min(n, m):
-            raise IndexError(f"need 0 <= k,l <= min(n,m), got k={k}, l={l}")
-        rn, rm = self.rows[n], self.rows[m]
-        return float(self.prefactor[n + m] * rn[k] * rm[k] * rn[l] * rm[l])
-
-    def __getitem__(self, idx) -> float:
-        return self.entry(*idx)
-
-    def block(self, n: int, m: int) -> np.ndarray:
-        """Full (k, l) block at level pair (n, m); symmetric, rank one."""
-        if not (0 <= n < len(self.rows) and 0 <= m < len(self.rows)):
-            raise IndexError(f"level out of range: n={n}, m={m}")
-        lo = min(n, m) + 1
-        u = self.rows[n][:lo] * self.rows[m][:lo]
-        return self.prefactor[n + m] * np.outer(u, u)
-
-    def diagonal_total(self) -> float:
-        """Sum of all same-level weights: the field trace, 1 minus the tail."""
-        return math.fsum(
-            self.prefactor[2 * n] * float(np.sum(self.rows[n] ** 2)) ** 2
-            for n in range(self.n_max + 1)
-        )
-
-
-def weight_table(s, r, n_max: int) -> WeightTable:
-    """Build the ladder-weight table for squeezing s and reflectivity r."""
-    return WeightTable(s, r, n_max)
 
 
 def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> list[AtomXState]:

@@ -83,7 +83,6 @@ _SETTINGS = {
     "tail_tol": ("tail_tol", _float),
     "n_max": ("n_max", _int),
     "out": ("out", str),
-    "threads": ("threads", _int),
 }
 
 
@@ -99,7 +98,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--tail-tol", metavar="X", help="photon-number tail probability kept out of the cutoff")
     g.add_argument("--n-max", metavar="N", help="explicit photon-number cutoff (overrides --tail-tol)")
     g.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    g.add_argument("--threads", metavar="N", help="accepted for compatibility and ignored; the grid is evaluated serially")
     g.add_argument("--config", metavar="PATH", help="key = value settings file (flags still win)")
 
 

@@ -24,14 +24,14 @@ __all__ = [
     "TruncationPolicy",
     "CavityFieldState",
     "squeezed_state",
-    "binom_coeff",
     "binom_row",
     "inject",
     "inject_oracle",
 ]
 
 # Keep a few photon levels even at tiny squeezing so multi-photon terms stay
-# exercised; and give the injection oracle spare headroom above the cutoff.
+# exercised; and give the injection oracle spare headroom above the cutoff
+# (two levels: the rotation transiently mixes the top level upward).
 N_MAX_FLOOR = 4
 ORACLE_PAD = 2
 
@@ -95,7 +95,8 @@ class TruncationPolicy:
 
     With only ``tail_tol`` given, the cutoff is the smallest n_max whose
     discarded weight (tanh s)^(2(n_max+1)) stays below the bound, floored at
-    ``N_MAX_FLOOR``.  An explicit ``n_max`` wins over ``tail_tol``.
+    ``N_MAX_FLOOR``.  An explicit ``n_max`` wins over ``tail_tol``; it is
+    the only way to a cutoff once tanh s rounds to 1 (s above about 19).
     """
 
     tail_tol: float | None = 1e-10
@@ -120,6 +121,10 @@ class TruncationPolicy:
             n = self.n_max
         elif th == 0.0:
             n = N_MAX_FLOOR
+        elif th == 1.0:
+            raise ValueError(
+                f"tanh({s.s}) rounds to 1, so no cutoff meets tail_tol; give n_max explicitly"
+            )
         else:
             n = max(N_MAX_FLOOR, math.ceil(math.log(self.tail_tol) / (2.0 * math.log(th))) - 1)
         return n, th ** (2 * (n + 1))
@@ -176,28 +181,6 @@ def _log_factorial(n: int) -> float:
 
 
 _EXACT_LIMIT = 20  # plain comb/sqrt/pow is exact and cheap this far
-
-
-def binom_coeff(n: int, k: int, theta: float) -> float:
-    """sqrt(C(n,k)) * cos^k(theta/2) * sin^(n-k)(theta/2).
-
-    The amplitude for k of n photons to pass the beam splitter.  Exact
-    combinatorics up to n = 20, log-space evaluation beyond.
-    """
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return _binom_value(n, k, math.cos(theta / 2.0), math.sin(theta / 2.0))
-
-
-def _binom_value(n: int, k: int, c: float, s_: float) -> float:
-    if n <= _EXACT_LIMIT:
-        return math.sqrt(math.comb(n, k)) * c**k * s_ ** (n - k)
-    if c == 0.0:
-        return s_**n if k == 0 else 0.0
-    if s_ == 0.0:
-        return c**n if k == n else 0.0
-    half_log_comb = 0.5 * (_log_factorial(n) - _log_factorial(k) - _log_factorial(n - k))
-    return math.exp(half_log_comb + k * math.log(c) + (n - k) * math.log(s_))
 
 
 def binom_row(n: int, coupling) -> np.ndarray:
@@ -267,9 +250,7 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
     return CavityFieldState(field, s, coupling, policy, n_max, psi.tail_weight)
 
 
-def inject_oracle(
-    psi: StateVector, coupling, pad: int = ORACLE_PAD, *, s=None, policy=None
-) -> CavityFieldState:
+def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldState:
     """Same cavity field through the explicit beam-splitter unitary.
 
     Builds exp[(theta/2)(c f+ - c+ f)] per (external, cavity) mode pair on a
@@ -277,12 +258,10 @@ def inject_oracle(
     external ports out.  Deliberately shares no code path with
     :func:`inject` beyond the exponential itself.
     """
-    if pad < 2:
-        raise ValueError("pad >= 2 required: the rotation transiently mixes the top level upward")
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
     n_max = dim - 1
-    big = dim + pad
+    big = dim + ORACLE_PAD
 
     a = np.diag(np.sqrt(np.arange(1.0, big)), 1)
     cav = np.kron(np.eye(big), a)  # cavity is the fast factor of a pair

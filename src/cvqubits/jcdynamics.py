@@ -101,8 +101,6 @@ class EvolvedState:
     """Composite state after the transit, factors (atom A, atom B, field A, field B)."""
 
     rho: DensityOperator
-    params: JCParams
-    provenance: str  # closed_form_unitary | hamiltonian_exponential
 
 
 def _lt(params) -> float:
@@ -151,26 +149,14 @@ def jc_unitary_oracle(params, field_dim: int) -> np.ndarray:
     return mat_exp(h, scale=-1j * lt)
 
 
-def _to_pair_order(m: np.ndarray, field_dim: int) -> np.ndarray:
-    """Regroup factors (aA,aB,fA,fB) -> (aA,fA,aB,fB)."""
-    f = field_dim
-    d = 4 * f * f
-    return (
-        m.reshape(2, 2, f, f, 2, 2, f, f)
-        .transpose(0, 2, 1, 3, 4, 6, 5, 7)
-        .reshape(d, d)
-    )
+def _swap_middle_factors(m: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
+    """Regroup a four-factor operator (a, b, c, d) -> (a, c, b, d), rows and columns.
 
-
-def _from_pair_order(m: np.ndarray, field_dim: int) -> np.ndarray:
-    """Undo :func:`_to_pair_order`: same axis swap, pair-order dimensions."""
-    f = field_dim
-    d = 4 * f * f
-    return (
-        m.reshape(2, f, 2, f, 2, f, 2, f)
-        .transpose(0, 2, 1, 3, 4, 6, 5, 7)
-        .reshape(d, d)
-    )
+    Factors (aA, aB, fA, fB) become pair order (aA, fA, aB, fB); the same
+    call with the pair-order dims (2, f, 2, f) undoes it.
+    """
+    d = m.shape[0]
+    return m.reshape(dims + dims).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d, d)
 
 
 def evolve(atoms: AtomState, field: CavityFieldState, params, method: str = "closed_form") -> EvolvedState:
@@ -181,9 +167,9 @@ def evolve(atoms: AtomState, field: CavityFieldState, params, method: str = "clo
     :func:`reduce_atoms_direct` instead.
     """
     if method == "closed_form":
-        build, provenance = jc_unitary, "closed_form_unitary"
+        build = jc_unitary
     elif method == "hamiltonian":
-        build, provenance = jc_unitary_oracle, "hamiltonian_exponential"
+        build = jc_unitary_oracle
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -197,15 +183,11 @@ def evolve(atoms: AtomState, field: CavityFieldState, params, method: str = "clo
     rho0 = np.kron(atoms.density(), padded.reshape(big * big, big * big))
     u = build(params, big)
     u_both = np.kron(u, u)
-    evolved = u_both @ _to_pair_order(rho0, big) @ u_both.conj().T
-    out = _from_pair_order(evolved, big)
+    evolved = u_both @ _swap_middle_factors(rho0, (2, 2, big, big)) @ u_both.conj().T
+    out = _swap_middle_factors(evolved, (2, big, 2, big))
 
     space = TruncatedFockSpace((2, 2, big, big))
-    return EvolvedState(
-        DensityOperator(space, out, field.tail_weight),
-        JCParams(_lt(params)),
-        provenance,
-    )
+    return EvolvedState(DensityOperator(space, out, field.tail_weight))
 
 
 def reduce_atoms(state: EvolvedState) -> DensityOperator:

@@ -41,6 +41,9 @@ ENGINES = ("analytic", "oracle", "both")
 INITIALS = ("gg", "ee")
 CSV_HEADER = "s,r,lambda_t,initial,measure,n_max,tail_weight,engine,disagreement"
 DISAGREE_TOL = 1e-8
+# Largest peak memory a configuration may plan for; validate() rejects
+# anything estimated above it before an array is allocated.
+MEMORY_BUDGET = 2 * 2**30
 
 
 class ConfigError(ValueError):
@@ -63,7 +66,6 @@ class SweepConfig:
     tail_tol: float = 1e-10
     n_max: int | None = None
     out: str | None = None
-    threads: int | None = None  # accepted for compatibility; the walk is serial
 
     def validate(self) -> "SweepConfig":
         if not self.s_values:
@@ -96,8 +98,18 @@ class SweepConfig:
             raise ConfigError(f"tail-tol must be finite and > 0, got {self.tail_tol}")
         if self.n_max is not None and self.n_max < 1:
             raise ConfigError(f"n-max must be >= 1, got {self.n_max}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        policy = self.policy()
+        try:
+            n_top = max(policy.resolve(s)[0] for s in self.s_values)
+        except ValueError as err:
+            raise ConfigError(f"{err} (--n-max)") from None
+        need = _peak_bytes(n_top, self.lt_steps, self.engine)
+        if need > MEMORY_BUDGET:
+            raise ConfigError(
+                f"estimated peak memory {need / 2**30:.3g} GiB at n_max {n_top} exceeds the "
+                f"{MEMORY_BUDGET / 2**30:.3g} GiB budget; lower --n-max, raise --tail-tol "
+                f"or take fewer --lt-steps"
+            )
         return self
 
     def policy(self) -> TruncationPolicy:
@@ -107,6 +119,23 @@ class SweepConfig:
 
     def lt_values(self) -> np.ndarray:
         return np.linspace(self.lt_start, self.lt_stop, self.lt_steps)
+
+
+def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
+    """Peak bytes of one (s, r) group at cutoff n_max, from the array shapes.
+
+    The analytic series holds the weight table's rows, 4 (n+2)(n+3) B, and
+    about 80 B per (level, time) in its flip/stay/corner arrays and their
+    temporaries.  The oracle's inject holds the branch matrix, its Gram
+    product and that product's complex copy, 32 (n+1)^4 B; the field plus
+    reduce_atoms_direct's regrouped copy of it come to the same.
+    """
+    need = 0
+    if engine in ("analytic", "both"):
+        need += 4 * (n_max + 2) * (n_max + 3) + 80 * (n_max + 1) * lt_steps
+    if engine in ("oracle", "both"):
+        need += 32 * (n_max + 1) ** 4
+    return need
 
 
 @dataclass(frozen=True)
@@ -201,8 +230,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 
     With engine "both" each row carries the worst element-wise distance
     between the two engines; the caller decides whether that is fatal
-    (the CLI exits nonzero past DISAGREE_TOL).  ``config.threads`` is
-    accepted and validated but selects nothing.
+    (the CLI exits nonzero past DISAGREE_TOL).
     """
     return [row for row, _ in _walk(config)]
 

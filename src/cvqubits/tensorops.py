@@ -28,10 +28,8 @@ __all__ = [
     "mat_exp",
 ]
 
-# Hermiticity tolerances: tight for freshly constructed operators, looser
-# for states that went through long chains of matrix products.
+# Hermiticity tolerance for freshly constructed operators.
 HERM_TOL_BUILT = 1e-12
-HERM_TOL_EVOLVED = 1e-10
 PSD_FLOOR = -1e-10
 
 
@@ -221,12 +219,11 @@ def partial_transpose(rho: DensityOperator, factor: int) -> DensityOperator:
     return DensityOperator(rho.space, out, rho.tail_weight)
 
 
-def eig_hermitian(m, vectors: bool = False):
+def eig_hermitian(m) -> np.ndarray:
     """Real ascending eigenvalues of a Hermitian matrix.
 
     Raises ValueError when the input deviates from Hermiticity by more than
-    1e-10 in any element.  With ``vectors=True`` returns ``(w, v)`` with
-    columns of ``v`` the eigenvectors.
+    1e-10 in any element.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -234,10 +231,7 @@ def eig_hermitian(m, vectors: bool = False):
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > 1e-10:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-    h = (m + m.conj().T) / 2.0
-    if vectors:
-        return np.linalg.eigh(h)
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
 
 
 # The beam-splitter and exchange generators get re-exponentiated at many

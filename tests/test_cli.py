@@ -13,6 +13,7 @@ from cvqubits.sweep import (
     ConfigError,
     SweepConfig,
     SweepRow,
+    default_verify_config,
     preset_config,
     run_sweep,
     worst_disagreement,
@@ -42,14 +43,6 @@ def test_run_sweep_emission_order():
     key = [(r.s, r.r, r.initial, r.lambda_t) for r in rows]
     assert key == sorted(key, key=lambda k: (k[0], k[1], {"gg": 0, "ee": 1}[k[2]], k[3]))
     assert len(rows) == 16
-
-
-def test_run_sweep_threads_do_not_change_rows():
-    base = SweepConfig(s_values=[0.3, 0.5], r_values=[0.0, 0.25],
-                       lt_stop=3.0, lt_steps=4)
-    serial = run_sweep(replace(base, threads=1))
-    parallel = run_sweep(replace(base, threads=4))
-    assert [r.csv_line() for r in serial] == [r.csv_line() for r in parallel]
 
 
 def test_run_sweep_both_engine_disagreement_column():
@@ -83,6 +76,21 @@ def test_sweep_config_validation_errors():
             SweepConfig(s_values=[0.3], lt_stop=bad).validate()
         with pytest.raises(ConfigError, match="tail-tol"):
             SweepConfig(s_values=[0.3], tail_tol=bad).validate()
+    # tanh(20) rounds to 1: no cutoff from the tail bound, only an explicit one
+    with pytest.raises(ConfigError, match="--n-max"):
+        SweepConfig(s_values=[0.3, 20.0]).validate()
+    for over_budget in (
+        SweepConfig(s_values=[2.0], engine="both"),  # inject at n_max 314, ~300 GiB
+        SweepConfig(s_values=[5.0]),  # weight table at n_max 126 794, ~60 GiB
+        SweepConfig(s_values=[0.3], lt_steps=10**8),  # series arrays, ~75 GiB
+    ):
+        with pytest.raises(ConfigError, match="GiB budget; lower --n-max, raise --tail-tol"):
+            over_budget.validate()
+
+
+def test_standard_grids_fit_the_memory_budget():
+    for config in (preset_config("fig2"), preset_config("fig3"), default_verify_config()):
+        config.validate()
 
 
 def test_row_formatting_uses_twelve_significant_digits():
@@ -110,7 +118,7 @@ def test_cli_sweep_writes_file_deterministically(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", *SMALL, "--initial", "gg,ee", "--engine", "analytic"]
     assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--threads", "3"]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().splitlines()
     assert lines[0] == CSV_HEADER
@@ -177,6 +185,34 @@ def test_cli_rejects_non_finite_inputs(flags, knob, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{knob} must be finite" in captured.err
+
+
+def test_cli_strong_squeezing_needs_an_explicit_cutoff(capsys):
+    assert main(["sweep", "--s", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cvqubits: error:")
+    assert "--n-max" in captured.err
+    assert main(["sweep", "--s", "20", "--n-max", "6"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[5] == "6"
+
+
+def test_cli_rejects_a_run_over_the_memory_budget(capsys):
+    assert main(["sweep", "--s", "2", "--engine", "both"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "estimated peak memory" in captured.err
+    assert "--n-max" in captured.err and "--tail-tol" in captured.err
+
+
+def test_cli_has_no_threads_setting(tmp_path, capsys):
+    assert main(["sweep", "--s", "0.3", "--threads", "2"]) == 1
+    assert capsys.readouterr().err.startswith("cvqubits: error:")
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("s = 0.3\nthreads = 2\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cvqubits: error:") and "threads" in err
 
 
 def test_cli_preset_fig2_grid(tmp_path):

@@ -8,7 +8,6 @@ from cvqubits.fieldprep import (
     CouplingParam,
     SqueezeParam,
     TruncationPolicy,
-    binom_coeff,
     binom_row,
     inject,
     inject_oracle,
@@ -104,38 +103,43 @@ def test_squeezed_state_norm_matches_tail():
 # ---------------------------------------------------------- binomial ladder
 
 
+def direct_binom(n, k, c, s_):
+    """sqrt(C(n, k)) c^k s^(n-k) as a plain product; well-conditioned to n = 40."""
+    return math.sqrt(math.comb(n, k)) * c**k * s_ ** (n - k)
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.42, np.pi / 2, 2.2, np.pi])
 def test_binom_rows_are_normalized(theta):
+    coupling = CouplingParam(math.cos(theta / 2.0))
     for n in range(0, 41, 5):
-        row = np.array([binom_coeff(n, k, theta) for k in range(n + 1)])
+        row = binom_row(n, coupling)
         assert np.dot(row, row) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_binom_coeff_log_path_matches_exact():
-    # n = 25 goes through the log-factorial branch; compare against the
+def test_binom_row_log_path_matches_exact():
+    # n > 20 goes through the log-factorial branch; compare against the
     # straightforward product, which is still well-conditioned there
-    theta = 1.234
-    c, s_ = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    coupling = CouplingParam(math.cos(1.234 / 2.0))
+    c, s_ = coupling.cos_half, coupling.sin_half
     for n in (21, 25, 40):
+        row = binom_row(n, coupling)
         for k in (0, 3, n // 2, n):
-            direct = math.sqrt(math.comb(n, k)) * c**k * s_ ** (n - k)
-            assert binom_coeff(n, k, theta) == pytest.approx(direct, rel=1e-13)
+            assert row[k] == pytest.approx(direct_binom(n, k, c, s_), rel=1e-13)
 
 
-def test_binom_coeff_range_errors():
+def test_binom_row_range_errors():
     with pytest.raises(ValueError):
-        binom_coeff(3, 4, 1.0)
+        binom_row(-1, CouplingParam(0.5))
     with pytest.raises(ValueError):
-        binom_coeff(3, -1, 1.0)
-    with pytest.raises(ValueError):
-        binom_coeff(-1, 0, 1.0)
+        binom_row(3, 1.5)  # a bare reflection outside [0, 1]
 
 
 def test_binom_row_matches_scalar():
     coupling = CouplingParam(0.7)
+    c, s_ = coupling.cos_half, coupling.sin_half
     row = binom_row(12, coupling)
     for k in range(13):
-        assert row[k] == pytest.approx(binom_coeff(12, k, coupling.theta), abs=1e-15)
+        assert row[k] == pytest.approx(direct_binom(12, k, c, s_), abs=1e-15)
 
 
 # ------------------------------------------------------------- injection
@@ -205,12 +209,6 @@ def test_inject_keeps_trace_across_couplings():
     traces = [inject(psi, CouplingParam(r)).rho.trace().real for r in R_GRID]
     for tr in traces:
         assert tr == pytest.approx(psi.norm_sq(), abs=1e-13)
-
-
-def test_inject_oracle_requires_headroom():
-    psi = squeezed_state(SqueezeParam(0.3))
-    with pytest.raises(ValueError):
-        inject_oracle(psi, CouplingParam(0.5), pad=1)
 
 
 def test_inject_rejects_non_square_input():

@@ -216,8 +216,8 @@ def test_eig_hermitian_roundtrip():
     h = random_hermitian(6)
     w = eig_hermitian(h)
     assert np.all(np.diff(w) >= 0)
-    w2, v = eig_hermitian(h, vectors=True)
-    np.testing.assert_allclose(w, w2)
+    w_ref, v = np.linalg.eigh(h)
+    np.testing.assert_allclose(w, w_ref, atol=1e-12)
     np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-12)
 
 
