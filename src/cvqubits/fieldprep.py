@@ -255,8 +255,9 @@ def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityF
 
     Builds exp[(theta/2)(c f+ - c+ f)] per (external, cavity) mode pair on a
     padded truncation, applies it to input (x) cavity-vacuum, and traces the
-    external ports out.  Deliberately shares no code path with
-    :func:`inject` beyond the exponential itself.
+    external ports out.  Only the splitter's columns with an empty cavity
+    meet the input, so only those enter the products.  Deliberately shares
+    no code path with :func:`inject` beyond the exponential itself.
     """
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
@@ -264,16 +265,14 @@ def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityF
     big = dim + ORACLE_PAD
 
     a = np.diag(np.sqrt(np.arange(1.0, big)), 1)
-    cav = np.kron(np.eye(big), a)  # cavity is the fast factor of a pair
-    ext = np.kron(a, np.eye(big))
-    generator = cav @ ext.T - cav.T @ ext
+    # c f+ - c+ f, cavity the fast factor: (1 x a)(a x 1)^T - (1 x a)^T (a x 1)
+    generator = np.kron(a.T, a) - np.kron(a, a.T)
     bs = mat_exp(generator, scale=coupling.theta / 2.0)
 
-    # input (x) vacuum as a (pair A) x (pair B) amplitude matrix
-    amp = np.zeros((big * big, big * big), dtype=complex)
-    occupied = np.arange(dim) * big  # (n photons, empty cavity) within a pair
-    amp[np.ix_(occupied, occupied)] = psi.amplitudes.reshape(dim, dim)
-    amp = bs @ amp @ bs.T
+    # input (x) vacuum as a (pair A) x (pair B) amplitude matrix fills only the
+    # (n photons, empty cavity) rows and columns: bs @ amp @ bs.T needs no more
+    occupied = bs[:, np.arange(dim) * big]
+    amp = occupied @ psi.amplitudes.reshape(dim, dim) @ occupied.T
 
     # regroup to (externals) x (cavities); the splitter conserves each
     # pair's total, so every populated index stays below the original cutoff

@@ -163,7 +163,8 @@ def evolve(atoms: AtomState, field: CavityFieldState, params, method: str = "clo
     """Full composite evolution; factors ordered (atom A, atom B, field A, field B).
 
     Dense and explicit: memory grows like field_dim**4, fine at moderate
-    cutoffs.  For the reduced atom state at large cutoffs use
+    cutoffs.  The pair unitary acts on each (atom, cavity) factor in turn, never
+    as kron(u, u).  For the reduced atom state at large cutoffs use
     :func:`reduce_atoms_direct` instead.
     """
     if method == "closed_form":
@@ -181,10 +182,12 @@ def evolve(atoms: AtomState, field: CavityFieldState, params, method: str = "clo
     padded[:fdim, :fdim, :fdim, :fdim] = field.rho.matrix.reshape(fdim, fdim, fdim, fdim)
 
     rho0 = np.kron(atoms.density(), padded.reshape(big * big, big * big))
+    pair = _swap_middle_factors(rho0, (2, 2, big, big)).reshape(4 * (2 * big,))
+    del rho0  # 72 MB at s = 0.65: free it before the einsum's intermediates
     u = build(params, big)
-    u_both = np.kron(u, u)
-    evolved = u_both @ _swap_middle_factors(rho0, (2, 2, big, big)) @ u_both.conj().T
-    out = _swap_middle_factors(evolved, (2, big, 2, big))
+    # kron(u, u) @ rho0 @ kron(u, u)^dagger, one pair factor at a time
+    pair = np.einsum("ia,jb,abcd,kc,ld->ijkl", u, u, pair, u.conj(), u.conj(), optimize=True)
+    out = _swap_middle_factors(pair.reshape(4 * big * big, -1), (2, big, 2, big))
 
     space = TruncatedFockSpace((2, 2, big, big))
     return EvolvedState(DensityOperator(space, out, field.tail_weight))

@@ -9,9 +9,7 @@ arguments, and results are bit-reproducible for a fixed summation order.
 
 from __future__ import annotations
 
-import hashlib
 import string
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +135,7 @@ class DensityOperator:
         """
         m = self.matrix
         dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > herm_tol:
+        if not dev <= herm_tol:  # a NaN entry fails here too
             raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
         tr = self.trace()
         if abs(tr.imag) > trace_tol:
@@ -147,7 +145,8 @@ class DensityOperator:
             raise ValueError(
                 f"trace {tr.real!r} outside [{lo!r}, {1.0 + trace_tol!r}]"
             )
-        wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+        h = (m + m.conj().T) / 2.0
+        wmin = min(float(np.linalg.eigvalsh(h[np.ix_(b, b)])[0]) for b in _sectors(h))
         if wmin < psd_floor:
             raise ValueError(f"negative eigenvalue {wmin:.3e}")
 
@@ -234,46 +233,52 @@ def eig_hermitian(m) -> np.ndarray:
     return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
 
 
-# The beam-splitter and exchange generators get re-exponentiated at many
-# angles / times; memoising their factorisation turns those repeats into a
-# diagonal rescale plus one matrix product.  Keyed by content hash so equal
-# arrays share an entry regardless of identity.
-_spectral_cache: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
-_SPECTRAL_CACHE_MAX = 3
+def _sectors(m: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of m's exact nonzero pattern."""
+    nonzero = m != 0
+    linked = nonzero | nonzero.T
+    unseen = np.ones(len(m), dtype=bool)
+    out = []
+    while unseen.any():
+        block = new = np.array([np.argmax(unseen)])
+        unseen[new] = False
+        while new.size:
+            new = np.flatnonzero(linked[new].any(axis=0) & unseen)
+            unseen[new] = False
+            block = np.concatenate([block, new])
+        out.append(np.sort(block))
+    return out
 
 
-def _eigh_cached(h: np.ndarray):
-    key = (hashlib.sha256(h.tobytes()).hexdigest(), h.shape[0])
-    hit = _spectral_cache.get(key)
-    if hit is None:
-        hit = np.linalg.eigh(h)
-        _spectral_cache[key] = hit
-        while len(_spectral_cache) > _SPECTRAL_CACHE_MAX:
-            _spectral_cache.popitem(last=False)
-    else:
-        _spectral_cache.move_to_end(key)
-    return hit
+def _spectral_exp(h: np.ndarray, phase: complex) -> np.ndarray:
+    """exp(phase * h) for Hermitian h, one eigensolve per sector."""
+    out = np.zeros_like(h)
+    for b in _sectors(h):
+        w, v = np.linalg.eigh(h[np.ix_(b, b)])
+        out[np.ix_(b, b)] = (v * np.exp(phase * w)) @ v.conj().T
+    return out
 
 
 def mat_exp(m, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * m) for a square complex matrix.
+    """exp(scale * m) for a nonempty, finite square complex matrix.
 
     Hermitian and anti-Hermitian generators take the spectral route, which
-    keeps the result exactly unitary for anti-Hermitian ``scale * m``;
-    anything else falls back to scipy's scaling-and-squaring.
+    keeps the result exactly unitary for anti-Hermitian ``scale * m``.  It
+    diagonalises each connected component of the exact nonzero pattern on
+    its own, so a generator that conserves photon or excitation number costs
+    one small eigensolve per sector.  Anything else falls back to scipy's
+    scaling-and-squaring.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+    if not (np.all(np.isfinite(m)) and np.isfinite(scale)):
+        raise ValueError("generator and scale must be finite")
     ref = max(float(np.max(np.abs(m))), 1.0)
-    if float(np.max(np.abs(m - m.conj().T))) <= 1e-13 * ref:
-        h = (m + m.conj().T) / 2.0
-        w, v = _eigh_cached(h)
-        return (v * np.exp(scale * w)) @ v.conj().T
-    if float(np.max(np.abs(m + m.conj().T))) <= 1e-13 * ref:
-        # m = -i h with h Hermitian, so exp(scale m) = exp(-i scale h)
-        im = 1j * m
-        h = (im + im.conj().T) / 2.0
-        w, v = _eigh_cached(h)
-        return (v * np.exp(-1j * scale * w)) @ v.conj().T
+    adj = m.conj().T
+    if float(np.max(np.abs(m - adj))) <= 1e-13 * ref:
+        return _spectral_exp((m + adj) / 2.0, scale)
+    if float(np.max(np.abs(m + adj))) <= 1e-13 * ref:
+        # m = -i h with h = i (m - m^dagger) / 2 Hermitian, so exp(scale m) = exp(-i scale h)
+        return _spectral_exp(0.5j * (m - adj), -1j * scale)
     return scipy.linalg.expm(scale * m)

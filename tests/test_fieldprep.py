@@ -5,6 +5,7 @@ import pytest
 
 from cvqubits.fieldprep import (
     N_MAX_FLOOR,
+    ORACLE_PAD,
     CouplingParam,
     SqueezeParam,
     TruncationPolicy,
@@ -13,7 +14,7 @@ from cvqubits.fieldprep import (
     inject_oracle,
     squeezed_state,
 )
-from cvqubits.tensorops import StateVector, TruncatedFockSpace
+from cvqubits.tensorops import StateVector, TruncatedFockSpace, mat_exp
 
 S_GRID = [0.0, 0.3, 0.65, 1.0]
 R_GRID = [0.0, 0.25, 0.5, 0.7, 0.99, 1.0]
@@ -161,6 +162,43 @@ def test_inject_matches_oracle(s, r):
     fast = inject(psi, CouplingParam(r))
     slow = inject_oracle(psi, CouplingParam(r))
     assert np.max(np.abs(fast.rho.matrix - slow.rho.matrix)) < 1e-12
+
+
+def reference_inject_oracle(psi, coupling):
+    """The beam-splitter route with the full bs @ amp @ bs.T, as first written.
+
+    Kept as the reference that inject_oracle's occupied-column product is
+    held against.
+    """
+    dim = psi.space.factor_dims[0]
+    big = dim + ORACLE_PAD
+    a = np.diag(np.sqrt(np.arange(1.0, big)), 1)
+    cav = np.kron(np.eye(big), a)  # cavity is the fast factor of a pair
+    ext = np.kron(a, np.eye(big))
+    bs = mat_exp(cav @ ext.T - cav.T @ ext, scale=coupling.theta / 2.0)
+    amp = np.zeros((big * big, big * big), dtype=complex)
+    occupied = np.arange(dim) * big
+    amp[np.ix_(occupied, occupied)] = psi.amplitudes.reshape(dim, dim)
+    amp = bs @ amp @ bs.T
+    four = amp.reshape(big, big, big, big).transpose(0, 2, 1, 3)
+    flat = np.ascontiguousarray(four[:dim, :dim, :dim, :dim]).reshape(dim * dim, dim * dim)
+    return flat.T @ flat.conj()
+
+
+@pytest.mark.parametrize("source", ["squeezed", "random"])
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.99])
+def test_inject_oracle_matches_full_product_reference(source, r):
+    if source == "squeezed":
+        psi = squeezed_state(SqueezeParam(0.65), TruncationPolicy(n_max=6))
+        kwargs = {}
+    else:  # any two-mode input, not only the photon-number-correlated one
+        rng = np.random.default_rng(31)
+        vec = rng.normal(size=25) + 1j * rng.normal(size=25)
+        psi = StateVector(TruncatedFockSpace((5, 5)), vec / np.linalg.norm(vec))
+        kwargs = {"s": SqueezeParam(0.0), "policy": TruncationPolicy(n_max=4)}
+    got = inject_oracle(psi, CouplingParam(r), **kwargs).rho.matrix
+    ref = reference_inject_oracle(psi, CouplingParam(r))
+    assert np.max(np.abs(got - ref)) < 1e-13
 
 
 def test_inject_full_reflection_leaves_vacuum():

@@ -4,6 +4,7 @@ import pytest
 from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
 from cvqubits.jcdynamics import (
     ATOM_BASIS,
+    EVOLVE_PAD,
     AtomState,
     EvolvedState,
     JCParams,
@@ -124,6 +125,39 @@ def test_evolve_factor_layout():
     out = evolve(AtomState("gg"), field, 1.0)
     fdim = field.rho.space.factor_dims[0] + 2
     assert out.rho.space.factor_dims == (2, 2, fdim, fdim)
+
+
+def reference_evolve(atoms, field, lt, method):
+    """The composite transit through the literal kron(u, u), as first written.
+
+    Kept as the reference that the factor-wise evolve is held against.
+    """
+    build = jc_unitary if method == "closed_form" else jc_unitary_oracle
+    fdim = field.rho.space.factor_dims[0]
+    big = fdim + EVOLVE_PAD
+    padded = np.zeros((big, big, big, big), dtype=complex)
+    padded[:fdim, :fdim, :fdim, :fdim] = field.rho.matrix.reshape(fdim, fdim, fdim, fdim)
+    rho0 = np.kron(atoms.density(), padded.reshape(big * big, big * big))
+    d = rho0.shape[0]
+
+    def swap(m, dims):  # (a, b, c, d) -> (a, c, b, d) on rows and columns
+        return m.reshape(dims + dims).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d, d)
+
+    u_both = np.kron(build(lt, big), build(lt, big))
+    evolved = u_both @ swap(rho0, (2, 2, big, big)) @ u_both.conj().T
+    return swap(evolved, (2, big, 2, big))
+
+
+@pytest.mark.parametrize("method", ["closed_form", "hamiltonian"])
+@pytest.mark.parametrize("initial", ["gg", "ee", "eg", "bell"])
+def test_evolve_matches_literal_kron_reference(method, initial):
+    bell = np.array([1.0, 0.0, 0.0, 1.0j]) / np.sqrt(2.0)
+    atoms = AtomState(bell if initial == "bell" else initial)
+    field = small_field(s=0.5, r=0.3, n_max=5)
+    for lt in (0.7, 11.0):
+        got = evolve(atoms, field, lt, method=method).rho.matrix
+        ref = reference_evolve(atoms, field, lt, method)
+        assert np.max(np.abs(got - ref)) < 1e-13
 
 
 def test_evolve_methods_agree():

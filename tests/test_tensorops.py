@@ -11,6 +11,7 @@ from cvqubits.tensorops import (
     partial_trace,
     partial_transpose,
 )
+from cvqubits.tensorops import _sectors
 
 RNG = np.random.default_rng(20260815)
 
@@ -277,9 +278,84 @@ def test_mat_exp_unitary_for_long_times(t):
     np.testing.assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-11)
 
 
-def test_mat_exp_spectral_cache_consistency():
-    # same generator, several scales: results must not depend on cache hits
+def test_mat_exp_does_not_depend_on_call_order():
+    # same generator, several scales: no result may depend on earlier calls
     h = random_hermitian(5)
     fresh = [taylor_exp(h, -1j * t) for t in (0.3, 1.1, 2.9)]
     for t, ref in zip((0.3, 1.1, 2.9), fresh):
         np.testing.assert_allclose(mat_exp(h, scale=-1j * t), ref, atol=1e-12)
+
+
+def test_mat_exp_rejects_non_finite_and_empty_input():
+    h = random_hermitian(3)
+    for bad in (np.nan, np.inf):
+        g = h.copy()
+        g[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mat_exp(g)
+        with pytest.raises(ValueError, match="finite"):
+            mat_exp(h, scale=bad)
+    with pytest.raises(ValueError, match="finite"):
+        mat_exp(h, scale=complex(0.0, np.nan))
+    with pytest.raises(ValueError, match="nonempty"):
+        mat_exp(np.zeros((0, 0)))
+
+
+# ----------------------------------------------------------------- sectors
+
+
+def permuted_blocks(blocks, rng=RNG):
+    """Block-diagonal matrix of ``blocks`` under a random symmetric permutation."""
+    dim = sum(len(b) for b in blocks)
+    m = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for b in blocks:
+        m[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    perm = rng.permutation(dim)
+    return m[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("anti", [False, True])
+def test_mat_exp_sector_route_matches_taylor(anti):
+    h = permuted_blocks([random_hermitian(d) for d in (1, 3, 2, 5, 1, 4)])
+    assert sorted(len(b) for b in _sectors(h)) == [1, 1, 2, 3, 4, 5]
+    g, scale = (-1j * h, 0.9) if anti else (h, -1j * 0.9)
+    np.testing.assert_allclose(mat_exp(g, scale=scale), taylor_exp(g, scale), rtol=0, atol=1e-12)
+
+
+def test_mat_exp_sector_pattern_is_exact():
+    # a single 1e-200 link joins two blocks: no threshold may split them
+    h = permuted_blocks([random_hermitian(3), random_hermitian(4)], rng=np.random.default_rng(5))
+    i, j = np.flatnonzero(h[0] != 0)[0], np.flatnonzero(h[0] == 0)[0]
+    h[i, j] = h[j, i] = 1e-200
+    assert len(_sectors(h)) == 1
+    np.testing.assert_allclose(mat_exp(h, scale=-1j * 1.7), taylor_exp(h, -1j * 1.7), rtol=0, atol=1e-12)
+
+
+def test_dense_hermitian_is_one_sector():
+    blocks = _sectors(random_hermitian(7))
+    assert len(blocks) == 1
+    np.testing.assert_array_equal(blocks[0], np.arange(7))
+
+
+def test_validate_finds_negative_eigenvalue_in_one_block():
+    rng = np.random.default_rng(11)
+    bad = np.diag([0.6, 0.6, -0.2]).astype(complex)  # one negative level, trace 1
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    parts = [0.5 * random_density(4, rng), 0.5 * (q @ bad @ q.conj().T), 0.0 * random_density(2, rng)]
+    m = permuted_blocks(parts, rng)
+    m = (m + m.conj().T) / 2.0
+    assert len(_sectors(m)) >= 2
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityOperator(TruncatedFockSpace((m.shape[0],)), m).validate()
+
+
+def test_validate_rejects_nan_off_diagonal():
+    m = random_density(4)
+    m[0, 2] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityOperator(TruncatedFockSpace((4,)), m).validate()
+    m[2, 0] = np.nan  # a NaN pair looks Hermitian-symmetric
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityOperator(TruncatedFockSpace((4,)), m).validate()
