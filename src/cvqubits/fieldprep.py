@@ -225,26 +225,35 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
 
     Conditioning on (k, l) photons escaping through the two reflected ports
     leaves one pure branch per outcome; the field is the unnormalized sum of
-    those branch projectors, accumulated through a single symmetric matrix
-    product.  ``s``/``policy`` default to values recovered from ``psi``.
+    those branch projectors.  A twin pair |n, n> that loses (k, l) photons
+    lands on |n - k, n - l>, so every branch lies in the sector
+    delta = nA - nB = l - k.  Per sector the branches form a (k x nA) block
+    B[k, nA] = d[nA + k] * row[nA + k][k] * row[nA + k][k + delta], and the
+    field's (nA, nA - delta) rows and columns are B^T B; nothing couples
+    two sectors.  ``s``/``policy`` default to values recovered from ``psi``.
     """
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
     n_max = dim - 1
-    d = psi.amplitudes.reshape(dim, dim).diagonal().real.copy()
-    rows = np.zeros((dim, dim))
+    # zero-padded to twice the size, so n = nA + k and k + delta need no
+    # clipping: every level past the cutoff carries a zero amplitude
+    d = np.zeros(2 * dim)
+    d[:dim] = psi.amplitudes.reshape(dim, dim).diagonal().real
+    rows = np.zeros((2 * dim, 2 * dim))
     for n in range(dim):
         rows[n, : n + 1] = binom_row(n, coupling)
+    amp = d[:, None] * rows  # amp[n, k] = d[n] * row[n][k]
 
-    branches = np.zeros((dim * dim, dim * dim))
-    for k in range(dim):
-        for l in range(dim):
-            lo = max(k, l)
-            ns = np.arange(lo, dim)
-            branches[k * dim + l, (ns - k) * dim + (ns - l)] = d[ns] * rows[ns, k] * rows[ns, l]
-    m = branches.T @ branches
+    m = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for delta in range(-n_max, dim):
+        na = np.arange(max(0, delta), dim + min(0, delta))  # nB = nA - delta stays in range
+        k = np.arange(max(0, -delta), dim - na[0])[:, None]  # l = k + delta >= 0
+        n = na + k
+        block = amp[n, k] * rows[n, k + delta]
+        idx = na * (dim + 1) - delta  # flat index of |nA, nA - delta>
+        m[np.ix_(idx, idx)] = block.T @ block
 
-    field = DensityOperator(psi.space, m.astype(complex), psi.tail_weight)
+    field = DensityOperator(psi.space, m, psi.tail_weight)
     s = _as_squeeze(s) if s is not None else _infer_squeeze(psi)
     policy = policy if policy is not None else TruncationPolicy(n_max=dim - 1)
     return CavityFieldState(field, s, coupling, policy, n_max, psi.tail_weight)

@@ -126,15 +126,16 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
 
     The analytic series holds the weight table's rows, 4 (n+2)(n+3) B, and
     about 80 B per (level, time) in its flip/stay/corner arrays and their
-    temporaries.  The oracle's inject holds the branch matrix, its Gram
-    product and that product's complex copy, 32 (n+1)^4 B; the field plus
-    reduce_atoms_direct's regrouped copy of it come to the same.
+    temporaries.  The oracle holds the injected complex field, 16 (n+1)^4 B.
+    Next to it, inject's per-sector blocks, and later reduce_atoms_direct's
+    transit unitary, traced propagator and one field slice, take under
+    1 KiB per (n+1)^2 (tracemalloc: 0.8 MB at n_max 42).
     """
     need = 0
     if engine in ("analytic", "both"):
         need += 4 * (n_max + 2) * (n_max + 3) + 80 * (n_max + 1) * lt_steps
     if engine in ("oracle", "both"):
-        need += 32 * (n_max + 1) ** 4
+        need += 16 * (n_max + 1) ** 4 + 1024 * (n_max + 1) ** 2
     return need
 
 

@@ -134,7 +134,12 @@ class DensityOperator:
         ``[1 - tail_weight - trace_tol, 1 + trace_tol]``.
         """
         m = self.matrix
-        dev = float(np.max(np.abs(m - m.conj().T)))
+        # one full-size copy, m^dagger; the deviation goes by blocks of about
+        # 2^16 entries, and the copy then becomes the Hermitian part in place
+        h = m.conj().T
+        step = max(1, 2**16 // len(m))
+        dev = float(np.max([np.max(np.abs(m[i : i + step] - h[i : i + step]))
+                            for i in range(0, len(m), step)]))
         if not dev <= herm_tol:  # a NaN entry fails here too
             raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
         tr = self.trace()
@@ -145,7 +150,8 @@ class DensityOperator:
             raise ValueError(
                 f"trace {tr.real!r} outside [{lo!r}, {1.0 + trace_tol!r}]"
             )
-        h = (m + m.conj().T) / 2.0
+        h += m
+        h *= 0.5
         wmin = min(float(np.linalg.eigvalsh(h[np.ix_(b, b)])[0]) for b in _sectors(h))
         if wmin < psd_floor:
             raise ValueError(f"negative eigenvalue {wmin:.3e}")

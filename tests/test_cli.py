@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 import cvqubits.sweep as sweep_mod
 from cvqubits.cli import main
+from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
+from cvqubits.jcdynamics import AtomState, reduce_atoms_direct
 from cvqubits.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -80,12 +83,31 @@ def test_sweep_config_validation_errors():
     with pytest.raises(ConfigError, match="--n-max"):
         SweepConfig(s_values=[0.3, 20.0]).validate()
     for over_budget in (
-        SweepConfig(s_values=[2.0], engine="both"),  # inject at n_max 314, ~300 GiB
+        SweepConfig(s_values=[2.0], engine="both"),  # field at n_max 314, ~150 GiB
         SweepConfig(s_values=[5.0]),  # weight table at n_max 126 794, ~60 GiB
         SweepConfig(s_values=[0.3], lt_steps=10**8),  # series arrays, ~75 GiB
     ):
         with pytest.raises(ConfigError, match="GiB budget; lower --n-max, raise --tail-tol"):
             over_budget.validate()
+
+
+@pytest.mark.parametrize("n_max", [20, 42])
+def test_oracle_memory_estimate_covers_measured_peak(n_max):
+    # inject, then reduce_atoms_direct with the field alive, as one (s, r)
+    # group of the walk holds them
+    policy = TruncationPolicy(n_max=n_max)
+    psi = squeezed_state(SqueezeParam(1.0), policy)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        field = inject(psi, CouplingParam(0.25))
+        for initial in ("gg", "ee", np.array([0.5, 0.5j, -0.5, 0.5j])):
+            reduce_atoms_direct(AtomState(initial), field, 3.3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    estimate = sweep_mod._peak_bytes(n_max, 1, "oracle")
+    assert peak <= estimate <= 2 * peak
 
 
 def test_standard_grids_fit_the_memory_budget():

@@ -201,6 +201,36 @@ def test_inject_oracle_matches_full_product_reference(source, r):
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
+def reference_inject(psi, coupling):
+    """The number expansion through one (n+1)^2-square branch matrix, as first written.
+
+    Kept as the reference that inject's per-sector Gram blocks are held
+    against.
+    """
+    dim = psi.space.factor_dims[0]
+    d = psi.amplitudes.reshape(dim, dim).diagonal().real.copy()
+    rows = np.zeros((dim, dim))
+    for n in range(dim):
+        rows[n, : n + 1] = binom_row(n, coupling)
+    branches = np.zeros((dim * dim, dim * dim))
+    for k in range(dim):
+        for l in range(dim):
+            ns = np.arange(max(k, l), dim)
+            branches[k * dim + l, (ns - k) * dim + (ns - l)] = d[ns] * rows[ns, k] * rows[ns, l]
+    return (branches.T @ branches).astype(complex)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("r", [0.0, 0.25, 0.99, 1.0])
+def test_inject_matches_branch_gram_reference(s, r):
+    psi = squeezed_state(SqueezeParam(s))
+    got = inject(psi, CouplingParam(r)).rho.matrix
+    ref = reference_inject(psi, CouplingParam(r))
+    assert np.max(np.abs(got - ref)) < 1e-13
+    # the sectors are exact: an entry the branches never reach stays exactly 0
+    assert np.array_equal(got != 0, ref != 0)
+
+
 def test_inject_full_reflection_leaves_vacuum():
     psi = squeezed_state(SqueezeParam(0.8))
     field = inject(psi, CouplingParam(1.0))

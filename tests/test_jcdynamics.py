@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from cvqubits.jcdynamics import (
     reduce_atoms_direct,
     total_excitation,
 )
-from cvqubits.tensorops import StateVector, TruncatedFockSpace
+from cvqubits.tensorops import DensityOperator, StateVector, TruncatedFockSpace
 
 LT_GRID = [0.1, 1.0, 5.0, 11.0, 15.0]
 
@@ -160,6 +163,20 @@ def test_evolve_matches_literal_kron_reference(method, initial):
         assert np.max(np.abs(got - ref)) < 1e-13
 
 
+def test_evolve_holds_two_composite_copies():
+    # the output plus one pair tensor at a time; the one-einsum form held a
+    # third copy in its intermediates
+    field = small_field(s=0.5, r=0.3, n_max=8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = evolve(AtomState("gg"), field, 3.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * out.rho.matrix.nbytes
+
+
 def test_evolve_methods_agree():
     field = small_field(s=0.4, r=0.3, n_max=5)
     a = evolve(AtomState("gg"), field, 7.0, method="closed_form")
@@ -227,3 +244,71 @@ def test_direct_reduction_complex_superposition():
     via_composite = reduce_atoms(evolve(atoms, field, 4.4))
     direct = reduce_atoms_direct(atoms, field, 4.4)
     assert np.max(np.abs(via_composite.matrix - direct.matrix)) < 1e-12
+
+
+def reference_reduce_atoms_direct(atoms, field, lt):
+    """The pair-by-pair contraction through the regrouped field, as first written.
+
+    Regroups the whole field to (nA, mA) x (nB, mB) and multiplies it by the
+    dense field-traced pair propagators.  Kept as the reference that the
+    diagonal-by-diagonal reduce_atoms_direct is held against.
+    """
+    fdim = field.rho.space.factor_dims[0]
+    big = fdim + EVOLVE_PAD
+    u4 = jc_unitary(lt, big).reshape(2, big, 2, big)
+    r2 = np.ascontiguousarray(
+        field.rho.matrix.reshape(fdim, fdim, fdim, fdim).transpose(0, 2, 1, 3)
+    ).reshape(fdim * fdim, fdim * fdim)
+
+    def channel(col_a, col_b):
+        m = np.einsum("ipn,jpm->ijnm", u4[:, :, col_a, :], u4[:, :, col_b, :].conj())
+        return np.ascontiguousarray(m[:, :, :fdim, :fdim]).reshape(4, fdim * fdim)
+
+    chi = atoms.vector.reshape(2, 2)
+    occupied = [(ia, ib) for ia in range(2) for ib in range(2) if chi[ia, ib] != 0.0]
+    out = np.zeros((2, 2, 2, 2), dtype=complex)
+    for ket_a, ket_b in occupied:
+        for bra_a, bra_b in occupied:
+            weight = chi[ket_a, ket_b] * np.conj(chi[bra_a, bra_b])
+            block = channel(ket_a, bra_a) @ r2 @ channel(ket_b, bra_b).T
+            out += weight * block.reshape(2, 2, 2, 2)
+    return out.transpose(0, 2, 1, 3).reshape(4, 4)
+
+
+REDUCE_ATOMS = {
+    "gg": "gg",
+    "ee": "ee",
+    "ge": "ge",
+    "bell": np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),
+    "superposition": np.array([0.5, 0.5j, -0.5, 0.5j]),
+}
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("r", [0.0, 0.25, 0.99, 1.0])
+def test_direct_reduction_matches_regrouped_reference(s, r):
+    policy = TruncationPolicy()
+    field = inject(squeezed_state(SqueezeParam(s), policy), CouplingParam(r))
+    for atoms in REDUCE_ATOMS.values():
+        for lt in (0.0, 2.2, 11.0):
+            got = reduce_atoms_direct(AtomState(atoms), field, lt).matrix
+            ref = reference_reduce_atoms_direct(AtomState(atoms), field, lt)
+            assert np.max(np.abs(got - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["gg", "ee", "ge", "bell", "superposition"])
+def test_direct_reduction_of_a_field_that_breaks_photon_difference(name):
+    # a random mixed two-mode field couples every (nA - nB) sector to every
+    # other, so no diagonal pair of the propagators may be skipped
+    fdim = 5
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(fdim**2, fdim**2)) + 1j * rng.normal(size=(fdim**2, fdim**2))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    template = small_field(n_max=fdim - 1)
+    field = replace(template, rho=DensityOperator(template.rho.space, rho))
+    atoms = AtomState(REDUCE_ATOMS[name])
+    for lt in (0.0, 0.9, 6.3):
+        via_composite = reduce_atoms(evolve(atoms, field, lt)).matrix
+        direct = reduce_atoms_direct(atoms, field, lt).matrix
+        assert np.max(np.abs(via_composite - direct)) < 1e-12

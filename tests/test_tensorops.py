@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -359,3 +361,25 @@ def test_validate_rejects_nan_off_diagonal():
     m[2, 0] = np.nan  # a NaN pair looks Hermitian-symmetric
     with pytest.raises(ValueError, match="Hermitian"):
         DensityOperator(TruncatedFockSpace((4,)), m).validate()
+
+
+def test_validate_holds_one_extra_copy():
+    # a 1024-dim state of 32 blocks, as the injected fields are: one full-size
+    # copy (m^dagger, turned into the Hermitian part in place) and row-block
+    # temporaries, never the three full-size arrays of m - m^dagger and (m + m^dagger)/2
+    blocks = random_density(32, np.random.default_rng(5))
+    m = np.kron(np.eye(32), blocks) / 32.0
+    before = m.copy()
+    rho = DensityOperator(TruncatedFockSpace((1024,)), m)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rho.validate()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * m.nbytes
+    np.testing.assert_array_equal(rho.matrix, before)
+    m[1023, 1000] += 1e-9  # a deviation seen only from the last rows
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityOperator(TruncatedFockSpace((1024,)), m).validate()
