@@ -17,11 +17,12 @@ recorded tail weight.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldprep import CouplingParam, SqueezeParam, binom_row
+from .fieldprep import CouplingParam, SqueezeParam, binom_ladder
 
 __all__ = [
     "AtomXState",
@@ -70,8 +71,11 @@ class WeightTable:
     The four-index table K[n][m][k][l] factorizes into per-level splitting
     rows and a scalar prefactor (tanh s)^(n+m)/cosh^2 s:
     K[n][m][k][l] = prefactor[n+m] * rows[n][k] rows[m][k] rows[n][l] rows[m][l].
-    Only the rows and the prefactor are stored.  Rows run one level past
-    n_max because the corner coherence couples neighbouring levels.
+    Only the prefactor and the rows are stored, the rows once, as the
+    rung-ordered triangle ``ladder[n, j] = rows[n][n - j]`` of
+    :func:`fieldprep.binom_ladder`; ``rows[n]`` is a reversed view of its
+    row n.  Rows run one level past n_max because the corner coherence
+    couples neighbouring levels.
     """
 
     def __init__(self, s, r, n_max: int) -> None:
@@ -81,17 +85,37 @@ class WeightTable:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = n_max
-        self.rows = [binom_row(n, self.coupling) for n in range(n_max + 2)]
+        self.ladder = binom_ladder(n_max + 1, self.coupling)
         powers = self.s.tanh ** np.arange(2 * n_max + 3, dtype=float)
         self.prefactor = powers / self.s.cosh**2
+
+    @property
+    def rows(self) -> "_LadderRows":
+        return _LadderRows(self.ladder)
+
+
+class _LadderRows(Sequence):
+    """rows[n][k] = ladder[n, n - k], one reversed view per level, made on access."""
+
+    def __init__(self, ladder: np.ndarray) -> None:
+        self._ladder = ladder
+
+    def __len__(self) -> int:
+        return len(self._ladder)
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        n = range(len(self))[n]  # negative indices count from the top; IndexError past it
+        return self._ladder[n, n::-1]
 
 
 def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> list[AtomXState]:
     """Reduced atom states at every interaction time in ``lambda_ts``.
 
-    One weight table serves the whole series; the Rabi angles carry the
-    time axis, so each ladder level costs one array operation for all
-    times.  Each element is an exactly rounded sum over the levels.
+    One weight table serves the whole series.  A Rabi angle depends only on
+    the rung j of the table's ladder, so each ladder sum -- exchange,
+    survival and the corner amplitude, for every level and time at once --
+    is one product of a (level x rung) weight matrix with a (rung x time)
+    trig table.  Each element is then an exactly rounded sum over levels.
     """
     sq = s if isinstance(s, SqueezeParam) else SqueezeParam(s)
     cp = r if isinstance(r, CouplingParam) else CouplingParam(r)
@@ -104,20 +128,25 @@ def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> list[AtomXState]
     if initial not in ("gg", "ee"):
         raise ValueError(f"initial must be 'gg' or 'ee', got {initial!r}")
     table = WeightTable(sq, cp, n_max)
+    ladder = table.ladder
+    levels = n_max + 1
     # an excited atom rides the ladder one rung higher than a ground one
     shift = 0 if initial == "gg" else 1
+    # Rabi angle sqrt(m) * lambda_t on every rung m the sums reach; rows
+    # are rungs, columns are times
+    angle = np.sqrt(np.arange(n_max + 2))[:, None] * lts
+    sin_t, cos_t = np.sin(angle), np.cos(angle)
+    del angle
 
     # per-level exchange (flip) and survival (stay) probabilities of one
-    # atom; rows are levels, columns are times
-    flip = np.empty((n_max + 1, lts.size))
-    stay = np.empty((n_max + 1, lts.size))
-    for n in range(n_max + 1):
-        row_sq = table.rows[n] ** 2
-        rabi = np.sqrt(n - np.arange(n + 1) + shift)[:, None] * lts
-        flip[n] = row_sq @ np.sin(rabi) ** 2
-        stay[n] = row_sq @ np.cos(rabi) ** 2
+    # atom; rows are levels, columns are times.  At most one ladder-sized
+    # product lives next to the ladder, as sweep's memory estimate assumes
+    weights = np.square(ladder[:levels, :levels])
+    flip = weights @ np.square(sin_t[shift : shift + levels])
+    stay = weights @ np.square(cos_t[shift : shift + levels])
+    del weights
 
-    w_same = table.prefactor[:: 2][: n_max + 1, None]  # (tanh s)^(2n)/cosh^2 s
+    w_same = table.prefactor[:: 2][:levels, None]  # (tanh s)^(2n)/cosh^2 s
     if initial == "gg":
         a = _level_sums(w_same * flip * flip)
         b = _level_sums(w_same * flip * stay)
@@ -126,19 +155,17 @@ def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> list[AtomXState]
         a = _level_sums(w_same * stay * stay)
         b = _level_sums(w_same * stay * flip)
         d = _level_sums(w_same * flip * flip)
+    del flip, stay
 
     # corner coherence: couples neighbouring levels, so it only exists for
-    # pairs (n, n+1) that both fit under the cutoff
-    corner = np.empty((n_max, lts.size))
-    for n in range(n_max):
-        k = np.arange(n + 1)
-        cross = table.rows[n + 1][: n + 1] * table.rows[n][k]
-        j = (n - k + shift).astype(float)[:, None]
-        if initial == "gg":
-            amp = cross @ (np.sin(np.sqrt(j + 1.0) * lts) * np.cos(np.sqrt(j) * lts))
-        else:
-            amp = cross @ (np.cos(np.sqrt(j + 1.0) * lts) * np.sin(np.sqrt(j) * lts))
-        corner[n] = table.prefactor[2 * n + 1] * amp * amp
+    # pairs (n, n+1) that both fit under the cutoff; on rung j the pair
+    # weighs ladder[n+1, j+1] ladder[n, j], and the atoms' amplitudes meet
+    # rungs j + shift + 1 and j + shift
+    cross = ladder[1:levels, 1:levels] * ladder[:n_max, :n_max]
+    upper, lower = (sin_t, cos_t) if initial == "gg" else (cos_t, sin_t)
+    amp = cross @ (upper[shift + 1 : shift + levels] * lower[shift : shift + n_max])
+    del cross
+    corner = table.prefactor[1 : 2 * n_max : 2, None] * amp * amp
     # each cavity contributes one emission amplitude carrying -i; their
     # product makes the physical corner the negative of the bare sum
     e_coh = [-total for total in _level_sums(corner)]

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensorops import DensityOperator, StateVector, TruncatedFockSpace, mat_exp
 
@@ -25,6 +26,7 @@ __all__ = [
     "CavityFieldState",
     "squeezed_state",
     "binom_row",
+    "binom_ladder",
     "inject",
     "inject_oracle",
 ]
@@ -169,18 +171,19 @@ def squeezed_state(s, policy: TruncationPolicy | None = None) -> StateVector:
     return StateVector(TruncatedFockSpace((dim, dim)), amps, tail)
 
 
-# Cumulative log-factorial table, grown on demand; raw factorials overflow
-# doubles near n = 171 while sweeps can push the cutoff past 300.
-_LOG_FACT = [0.0]
-
-
-def _log_factorial(n: int) -> float:
-    while len(_LOG_FACT) <= n:
-        _LOG_FACT.append(_LOG_FACT[-1] + math.log(len(_LOG_FACT)))
-    return _LOG_FACT[n]
-
-
 _EXACT_LIMIT = 20  # plain comb/sqrt/pow is exact and cheap this far
+# C(n, k) for n, k <= _EXACT_LIMIT (0 for k > n), all exact in float64
+_EXACT_COMB = np.array(
+    [[math.comb(n, k) for k in range(_EXACT_LIMIT + 1)] for n in range(_EXACT_LIMIT + 1)],
+    dtype=float,
+)
+_EXACT_COMB.flags.writeable = False
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """log(k!) for k = 0..size-1, summed in order; raw factorials overflow
+    doubles near k = 171 while sweeps can push the cutoff past 300."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, size)))))
 
 
 def binom_row(n: int, coupling) -> np.ndarray:
@@ -200,10 +203,59 @@ def binom_row(n: int, coupling) -> np.ndarray:
     if s_ == 0.0:
         out[n] = c**n
         return out
-    _log_factorial(n)
-    lf = np.array(_LOG_FACT[: n + 1])
+    lf = _log_factorials(n + 1)
     logs = 0.5 * (lf[n] - lf[k] - lf[n - k]) + k * math.log(c) + (n - k) * math.log(s_)
     return np.exp(logs)
+
+
+def _toeplitz(v: np.ndarray) -> np.ndarray:
+    """Read-only view T[n, j] = v[n - j] for j <= n (0 above the diagonal), no copy."""
+    padded = np.concatenate((np.zeros(v.size - 1), v))
+    return sliding_window_view(padded, v.size)[:, ::-1]
+
+
+def binom_ladder(n_top: int, coupling) -> np.ndarray:
+    """Splitting amplitudes of levels 0..n_top by rung: L[n, j] = binom_row(n)[n - j].
+
+    j = n - k counts the photons a level keeps after k leave through the
+    reflected port, so a Rabi angle depends on j alone.  Entries with
+    j > n are 0.  Built in one vectorised pass with the same expressions,
+    in the same order, as :func:`binom_row`, so row n reversed is
+    bit-identical to ``binom_row(n, coupling)``.
+    """
+    if n_top < 0:
+        raise ValueError(f"need n_top >= 0, got {n_top}")
+    coupling = _as_coupling(coupling)
+    c, s_ = coupling.cos_half, coupling.sin_half
+    size = n_top + 1
+    rungs = np.arange(size)
+    above = np.tri(size, k=-1, dtype=bool).T  # j > n
+    if c == 0.0 or s_ == 0.0:
+        # one splitting per level: every photon kept (c = 0) or lost (s = 0)
+        ladder = np.zeros((size, size))
+        if c == 0.0:
+            np.fill_diagonal(ladder, s_**rungs)
+        else:
+            ladder[:, 0] = c**rungs
+    else:
+        # 0.5 (lf[n] - lf[k] - lf[j]) + k log c + j log s, with k = n - j
+        # read off Toeplitz views rather than (size x size) index arrays
+        lf = _log_factorials(size)
+        ladder = np.subtract(lf[:, None], _toeplitz(lf))
+        ladder -= lf
+        ladder *= 0.5
+        ladder += _toeplitz(rungs * math.log(c))
+        ladder += rungs * math.log(s_)
+        ladder[above] = -np.inf
+        np.exp(ladder, out=ladder)
+    # levels up to _EXACT_LIMIT take the exact branch, as in binom_row
+    top = min(size, _EXACT_LIMIT + 1)
+    n, j = rungs[:top, None], rungs[:top]
+    k = np.maximum(n - j, 0)
+    exact = np.sqrt(_EXACT_COMB[n, k]) * c**k * s_**j
+    exact[above[:top, :top]] = 0.0
+    ladder[:top, :top] = exact
+    return ladder
 
 
 def _infer_squeeze(psi: StateVector) -> SqueezeParam:
@@ -228,28 +280,28 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
     those branch projectors.  A twin pair |n, n> that loses (k, l) photons
     lands on |n - k, n - l>, so every branch lies in the sector
     delta = nA - nB = l - k.  Per sector the branches form a (k x nA) block
-    B[k, nA] = d[nA + k] * row[nA + k][k] * row[nA + k][k + delta], and the
-    field's (nA, nA - delta) rows and columns are B^T B; nothing couples
+    B[k, nA] = d[n] * row[n][k] * row[n][k + delta] with n = nA + k, read
+    from the rung-ordered :func:`binom_ladder` as d[n] * L[n, nA] * L[n, nB];
+    the field's (nA, nA - delta) rows and columns are B^T B; nothing couples
     two sectors.  ``s``/``policy`` default to values recovered from ``psi``.
     """
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
     n_max = dim - 1
-    # zero-padded to twice the size, so n = nA + k and k + delta need no
+    # levels zero-padded to twice the size, so n = nA + k needs no
     # clipping: every level past the cutoff carries a zero amplitude
     d = np.zeros(2 * dim)
     d[:dim] = psi.amplitudes.reshape(dim, dim).diagonal().real
-    rows = np.zeros((2 * dim, 2 * dim))
-    for n in range(dim):
-        rows[n, : n + 1] = binom_row(n, coupling)
-    amp = d[:, None] * rows  # amp[n, k] = d[n] * row[n][k]
+    ladder = np.zeros((2 * dim, dim))
+    ladder[:dim] = binom_ladder(n_max, coupling)
+    amp = d[:, None] * ladder  # amp[n, j] = d[n] * row[n][n - j]
 
     m = np.zeros((dim * dim, dim * dim), dtype=complex)
     for delta in range(-n_max, dim):
         na = np.arange(max(0, delta), dim + min(0, delta))  # nB = nA - delta stays in range
         k = np.arange(max(0, -delta), dim - na[0])[:, None]  # l = k + delta >= 0
         n = na + k
-        block = amp[n, k] * rows[n, k + delta]
+        block = amp[n, na] * ladder[n, na - delta]
         idx = na * (dim + 1) - delta  # flat index of |nA, nA - delta>
         m[np.ix_(idx, idx)] = block.T @ block
 

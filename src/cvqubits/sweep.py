@@ -124,16 +124,20 @@ class SweepConfig:
 def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
     """Peak bytes of one (s, r) group at cutoff n_max, from the array shapes.
 
-    The analytic series holds the weight table's rows, 4 (n+2)(n+3) B, and
-    about 80 B per (level, time) in its flip/stay/corner arrays and their
-    temporaries.  The oracle holds the injected complex field, 16 (n+1)^4 B.
-    Next to it, inject's per-sector blocks, and later reduce_atoms_direct's
-    transit unitary, traced propagator and one field slice, take under
-    1 KiB per (n+1)^2 (tracemalloc: 0.8 MB at n_max 42).
+    The analytic series holds its (n+2)-square splitting ladder and one
+    product of it at a time, 16 (n+2)^2 B; 72 B per (rung, time) in its
+    trig tables, level sums and their temporaries; 416 B per time for the
+    returned states; and up to 256 KiB of numpy buffers (tracemalloc:
+    1.73 MB at n_max 314 with one time, 9.6 MB at n_max 63 with 2000).
+    The oracle holds the injected complex field, 16 (n+1)^4 B.  Next to
+    it, inject's per-sector blocks, and later reduce_atoms_direct's transit
+    unitary, traced propagator and one field slice, take under 1 KiB per
+    (n+1)^2 (tracemalloc: 0.8 MB at n_max 42).
     """
     need = 0
     if engine in ("analytic", "both"):
-        need += 4 * (n_max + 2) * (n_max + 3) + 80 * (n_max + 1) * lt_steps
+        rungs = n_max + 2
+        need += 16 * rungs**2 + (72 * rungs + 416) * lt_steps + 2**18
     if engine in ("oracle", "both"):
         need += 16 * (n_max + 1) ** 4 + 1024 * (n_max + 1) ** 2
     return need

@@ -11,8 +11,16 @@ from cvqubits.analytic import (
     xstate_gg,
     xstate_series,
 )
-from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
+from cvqubits.fieldprep import (
+    CouplingParam,
+    SqueezeParam,
+    TruncationPolicy,
+    binom_row,
+    inject,
+    squeezed_state,
+)
 from cvqubits.jcdynamics import AtomState, reduce_atoms_direct
+from cvqubits.sweep import preset_config
 
 
 def x_state(a, b, c, d, e):
@@ -242,6 +250,79 @@ def test_xstate_series_matches_pointwise_reference(s, r, initial, lambda_ts):
             assert abs(getattr(x, name) - getattr(ref, name)) <= SERIES_TOL, (name, lt)
         assert (x.s, x.r, x.lambda_t, x.initial, x.n_max) == (s, r, lt, initial, n_max)
         assert x.tail_weight == tail == ref.tail_weight
+
+
+def reference_xstate_series(s, r, lambda_ts, n_max, initial):
+    """The series with one array operation per ladder level, as first written.
+
+    Kept as the reference that the rung-ordered matrix products are held
+    against; its rows come from binom_row, one call per level.
+    """
+    sq, cp = SqueezeParam(s), CouplingParam(r)
+    lts = np.asarray(lambda_ts, dtype=float)
+    rows = [binom_row(n, cp) for n in range(n_max + 2)]
+    prefactor = sq.tanh ** np.arange(2 * n_max + 3, dtype=float) / sq.cosh**2
+    shift = 0 if initial == "gg" else 1
+
+    flip = np.empty((n_max + 1, lts.size))
+    stay = np.empty((n_max + 1, lts.size))
+    for n in range(n_max + 1):
+        row_sq = rows[n] ** 2
+        rabi = np.sqrt(n - np.arange(n + 1) + shift)[:, None] * lts
+        flip[n] = row_sq @ np.sin(rabi) ** 2
+        stay[n] = row_sq @ np.cos(rabi) ** 2
+
+    def level_sums(terms):
+        return [math.fsum(column) for column in terms.T.tolist()]
+
+    w_same = prefactor[:: 2][: n_max + 1, None]
+    if initial == "gg":
+        a = level_sums(w_same * flip * flip)
+        b = level_sums(w_same * flip * stay)
+        d = level_sums(w_same * stay * stay)
+    else:
+        a = level_sums(w_same * stay * stay)
+        b = level_sums(w_same * stay * flip)
+        d = level_sums(w_same * flip * flip)
+
+    corner = np.empty((n_max, lts.size))
+    for n in range(n_max):
+        k = np.arange(n + 1)
+        cross = rows[n + 1][: n + 1] * rows[n][k]
+        j = (n - k + shift).astype(float)[:, None]
+        if initial == "gg":
+            amp = cross @ (np.sin(np.sqrt(j + 1.0) * lts) * np.cos(np.sqrt(j) * lts))
+        else:
+            amp = cross @ (np.cos(np.sqrt(j + 1.0) * lts) * np.sin(np.sqrt(j) * lts))
+        corner[n] = prefactor[2 * n + 1] * amp * amp
+    e_coh = [-total for total in level_sums(corner)]
+
+    tail = sq.tanh ** (2 * (n_max + 1))
+    return [
+        AtomXState(a=ai, b=bi, c=bi, d=di, e_coh=ei, s=sq.s, r=cp.r, lambda_t=lt,
+                   initial=initial, n_max=n_max, tail_weight=tail)
+        for ai, bi, di, ei, lt in zip(a, b, d, e_coh, lts.tolist())
+    ]
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_xstate_series_matches_per_level_reference_on_presets(preset):
+    # every series of the standard grids (fig2 reaches n_max 314): the
+    # printed 12-digit measures are identical, the elements agree to roundoff
+    config = preset_config(preset)
+    policy, lts = config.policy(), config.lt_values()
+    for s in config.s_values:
+        n_max, _ = policy.resolve(SqueezeParam(s))
+        for r in config.r_values:
+            for initial in config.initials:
+                got = xstate_series(s, r, lts, n_max, initial)
+                ref = reference_xstate_series(s, r, lts, n_max, initial)
+                for x, y in zip(got, ref, strict=True):
+                    for name in ("a", "b", "c", "d", "e_coh"):
+                        assert abs(getattr(x, name) - getattr(y, name)) <= SERIES_TOL
+                    assert (format(negativity_closed_form(x), ".12g")
+                            == format(negativity_closed_form(y), ".12g")), (s, r, x.lambda_t)
+                    assert (x.lambda_t, x.tail_weight) == (y.lambda_t, y.tail_weight)
 
 
 def test_xstate_single_point_is_the_one_element_series():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cvqubits.sweep as sweep_mod
+from cvqubits.analytic import xstate_series
 from cvqubits.cli import main
 from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
 from cvqubits.jcdynamics import AtomState, reduce_atoms_direct
@@ -84,8 +85,9 @@ def test_sweep_config_validation_errors():
         SweepConfig(s_values=[0.3, 20.0]).validate()
     for over_budget in (
         SweepConfig(s_values=[2.0], engine="both"),  # field at n_max 314, ~150 GiB
-        SweepConfig(s_values=[5.0]),  # weight table at n_max 126 794, ~60 GiB
-        SweepConfig(s_values=[0.3], lt_steps=10**8),  # series arrays, ~75 GiB
+        SweepConfig(s_values=[5.0]),  # ladder at n_max 126 794, ~240 GiB
+        SweepConfig(s_values=[0.3], lt_steps=10**8),  # series arrays, ~110 GiB
+        SweepConfig(s_values=[0.5], n_max=20000),  # ladder, ~6 GiB
     ):
         with pytest.raises(ConfigError, match="GiB budget; lower --n-max, raise --tail-tol"):
             over_budget.validate()
@@ -107,6 +109,21 @@ def test_oracle_memory_estimate_covers_measured_peak(n_max):
     finally:
         tracemalloc.stop()
     estimate = sweep_mod._peak_bytes(n_max, 1, "oracle")
+    assert peak <= estimate <= 2 * peak
+
+
+@pytest.mark.parametrize("n_max,lt_steps", [(314, 1), (63, 2000)])
+def test_analytic_memory_estimate_covers_measured_peak(n_max, lt_steps):
+    # fig2's largest cutoff at one time, and a long series at a small one
+    lts = np.linspace(0.0, 15.0, lt_steps)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        xstate_series(2.0, 0.25, lts, n_max, "ee")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    estimate = sweep_mod._peak_bytes(n_max, lt_steps, "analytic")
     assert peak <= estimate <= 2 * peak
 
 
@@ -225,6 +242,21 @@ def test_cli_rejects_a_run_over_the_memory_budget(capsys):
     assert captured.out == ""
     assert "estimated peak memory" in captured.err
     assert "--n-max" in captured.err and "--tail-tol" in captured.err
+
+
+def test_cli_rejects_an_analytic_ladder_over_the_memory_budget(monkeypatch, capsys):
+    # the splitting ladder alone is 8 (n_max+2)^2 B: 3.2 GB at n_max 20 000;
+    # a series that starts anyway fails at once instead of allocating it
+    assert 8 * (20000 + 2) ** 2 > sweep_mod.MEMORY_BUDGET
+
+    def started(*args, **kwargs):
+        raise AssertionError("validate let the run start")
+
+    monkeypatch.setattr(sweep_mod, "xstate_series", started)
+    assert main(["sweep", "--s", "0.5", "--n-max", "20000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "estimated peak memory" in captured.err and "--n-max" in captured.err
 
 
 def test_cli_has_no_threads_setting(tmp_path, capsys):

@@ -9,6 +9,7 @@ from cvqubits.fieldprep import (
     CouplingParam,
     SqueezeParam,
     TruncationPolicy,
+    binom_ladder,
     binom_row,
     inject,
     inject_oracle,
@@ -133,6 +134,25 @@ def test_binom_row_range_errors():
         binom_row(-1, CouplingParam(0.5))
     with pytest.raises(ValueError):
         binom_row(3, 1.5)  # a bare reflection outside [0, 1]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.25, 0.7, 0.99, 1.0])
+def test_binom_ladder_rows_are_binom_rows(r):
+    # both branches (exact to n = 20, log-space above) and both one-splitting
+    # edges (r = 0, r = 1), bit for bit
+    ladder = binom_ladder(320, CouplingParam(r))
+    assert ladder.shape == (321, 321)
+    for n in range(321):
+        assert np.array_equal(ladder[n, n::-1], binom_row(n, CouplingParam(r))), n
+        assert not np.any(ladder[n, n + 1 :]), n
+
+
+def test_binom_ladder_range_errors():
+    assert np.array_equal(binom_ladder(0, 0.3), [[1.0]])
+    with pytest.raises(ValueError):
+        binom_ladder(-1, CouplingParam(0.5))
+    with pytest.raises(ValueError):
+        binom_ladder(3, 1.5)
 
 
 def test_binom_row_matches_scalar():
