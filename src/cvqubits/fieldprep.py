@@ -181,8 +181,11 @@ _EXACT_COMB.flags.writeable = False
 
 
 def _log_factorials(size: int) -> np.ndarray:
-    """log(k!) for k = 0..size-1, summed in order; raw factorials overflow
-    doubles near k = 171 while sweeps can push the cutoff past 300."""
+    """log(k!) for k = 0..size-1, summed in order.
+
+    Raw factorials overflow doubles near k = 171, while sweeps can push the
+    cutoff past 300.
+    """
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, size)))))
 
 
