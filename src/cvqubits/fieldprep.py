@@ -4,9 +4,10 @@ The two halves of an external two-mode squeezed vacuum each pass through a
 beam splitter into one cavity; the reflected output ports are traced away,
 leaving the (generally mixed) joint cavity field.  :func:`inject` builds
 that field directly from its photon-number expansion, while
-:func:`inject_oracle` constructs the beam-splitter unitary explicitly and
-traces -- the two must agree element-wise, which is this module's core
-self-check.
+:func:`inject_oracle` exponentiates the beam-splitter generator on the
+photon-number blocks the input reaches and traces the reflected ports out
+block by block -- the two must agree element-wise, which is this module's
+core self-check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensorops import DensityOperator, StateVector, TruncatedFockSpace, mat_exp
+from .tensorops import DensityOperator, StateVector, TruncatedFockSpace, _component_labels, mat_exp
 
 __all__ = [
     "SqueezeParam",
@@ -32,8 +33,9 @@ __all__ = [
 ]
 
 # Keep a few photon levels even at tiny squeezing so multi-photon terms stay
-# exercised; and give the injection oracle spare headroom above the cutoff
-# (two levels: the rotation transiently mixes the top level upward).
+# exercised.  ORACLE_PAD is the headroom above the cutoff of the dense
+# beam-splitter construction that the tests keep as a reference;
+# inject_oracle needs none, because the splitter keeps each pair's total.
 N_MAX_FLOOR = 4
 ORACLE_PAD = 2
 
@@ -262,10 +264,24 @@ def binom_ladder(n_top: int, coupling) -> np.ndarray:
 
 
 def _infer_squeeze(psi: StateVector) -> SqueezeParam:
+    """Squeezing of a two-mode squeezed vacuum, read off its twin amplitudes.
+
+    Any other input carries no squeezing to read, so it is refused with a
+    message naming the ``s=`` keyword that supplies one.
+    """
     dim = psi.space.factor_dims[0]
-    d0 = psi.amplitudes[0].real
-    d1 = psi.amplitudes[dim + 1].real if dim > 1 else 0.0
-    return SqueezeParam(math.atanh(d1 / d0))
+    amps = psi.amplitudes.reshape(dim, dim)
+    d0 = amps[0, 0].real
+    if d0 > 0.0:
+        t = amps[1, 1].real / d0 if dim > 1 else 0.0
+        # a squeezed vacuum is d0 * sum_n t^n |n, n> with 0 <= t < 1
+        squeezed = d0 * np.diag(t ** np.arange(dim))
+        if 0.0 <= t < 1.0 and np.max(np.abs(amps - squeezed)) <= 1e-12 * d0:
+            return SqueezeParam(math.atanh(t))
+    raise ValueError(
+        "cannot infer the squeezing of an input that is not a two-mode squeezed "
+        "vacuum; pass s= (and policy=) explicitly"
+    )
 
 
 def _check_two_mode(psi: StateVector) -> int:
@@ -290,6 +306,7 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
     """
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
+    s = _as_squeeze(s) if s is not None else _infer_squeeze(psi)
     n_max = dim - 1
     # levels zero-padded to twice the size, so n = nA + k needs no
     # clipping: every level past the cutoff carries a zero amplitude
@@ -309,7 +326,6 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
         m[np.ix_(idx, idx)] = block.T @ block
 
     field = DensityOperator(psi.space, m, psi.tail_weight)
-    s = _as_squeeze(s) if s is not None else _infer_squeeze(psi)
     policy = policy if policy is not None else TruncationPolicy(n_max=dim - 1)
     return CavityFieldState(field, s, coupling, policy, n_max, psi.tail_weight)
 
@@ -317,35 +333,57 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
 def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldState:
     """Same cavity field through the explicit beam-splitter unitary.
 
-    Builds exp[(theta/2)(c f+ - c+ f)] per (external, cavity) mode pair on a
-    padded truncation, applies it to input (x) cavity-vacuum, and traces the
-    external ports out.  Only the splitter's columns with an empty cavity
-    meet the input, so only those enter the products.  Deliberately shares
-    no code path with :func:`inject` beyond the exponential itself.
+    Each (external, cavity) mode pair passes exp[(theta/2)(c f+ - c+ f)].
+    The ladder operator only lowers by one, so the generator keeps each
+    pair's total n = e + c, and the pair states with n <= n_max are an
+    invariant subspace holding everything the input reaches.  The generator
+    is built there one total at a time, from the same entries of ``a`` that
+    kron(a.T, a) - kron(a, a.T) holds, and exponentiated block by block;
+    input level n meets only the |n, 0> column of its block.  The
+    (externals x cavities) amplitude matrix is formed from those columns as
+    a list of its nonzero entries.  Columns linked through shared nonzero
+    rows form one block, and the externals are traced out with one Gram
+    product per block, so an input that correlates any levels stays exact.
+    Shares no code path with :func:`inject` beyond the exponential itself.
     """
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
+    s = _as_squeeze(s) if s is not None else _infer_squeeze(psi)
     n_max = dim - 1
-    big = dim + ORACLE_PAD
 
-    a = np.diag(np.sqrt(np.arange(1.0, big)), 1)
-    # c f+ - c+ f, cavity the fast factor: (1 x a)(a x 1)^T - (1 x a)^T (a x 1)
-    generator = np.kron(a.T, a) - np.kron(a, a.T)
-    bs = mat_exp(generator, scale=coupling.theta / 2.0)
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    lower, upper = np.nonzero(a)
+    assert np.array_equal(upper, lower + 1), "a must lower the photon number by one"
+    # reach[n, e] = <e, n - e| U |n, 0>, one column of block n per level
+    reach = np.zeros((dim, dim))
+    for n in range(dim):
+        i = np.arange(n + 1)[:, None]  # row |i, n - i>, column |j, n - j>
+        j = i.T
+        # kron(a.T, a) - kron(a, a.T) between those pair states
+        block = a[j, i] * a[n - i, n - j] - a[i, j] * a[n - j, n - i]
+        reach[n, : n + 1] = mat_exp(block, scale=coupling.theta / 2.0)[:, n].real
 
-    # input (x) vacuum as a (pair A) x (pair B) amplitude matrix fills only the
-    # (n photons, empty cavity) rows and columns: bs @ amp @ bs.T needs no more
-    occupied = bs[:, np.arange(dim) * big]
-    amp = occupied @ psi.amplitudes.reshape(dim, dim) @ occupied.T
+    # amplitude of (externals eA, eB) x (cavities n_A - eA, n_B - eB), one
+    # (level x level) slab per nonzero input amplitude; no two slabs share an entry
+    amps = psi.amplitudes.reshape(dim, dim)
+    na, nb = np.nonzero(amps)
+    slabs = amps[na, nb][:, None, None] * reach[na][:, :, None] * reach[nb][:, None, :]
+    k, ea, eb = np.nonzero(slabs)
+    vals = slabs[k, ea, eb]
+    rows = ea * dim + eb
+    cols = (na[k] - ea) * dim + (nb[k] - eb)
 
-    # regroup to (externals) x (cavities); the splitter conserves each
-    # pair's total, so every populated index stays below the original cutoff
-    # and the crop is lossless
-    four = amp.reshape(big, big, big, big).transpose(0, 2, 1, 3)
-    flat = np.ascontiguousarray(four[:dim, :dim, :dim, :dim]).reshape(dim * dim, dim * dim)
-    m = flat.T @ flat.conj()
+    # cavity pairs are nodes 0..dim^2 - 1, external pairs the dim^2 after them
+    label = _component_labels(cols, rows + dim * dim, 2 * dim * dim)[cols]
+    order = np.argsort(label, kind="stable")
+    m = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for entries in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+        ext, ri = np.unique(rows[entries], return_inverse=True)
+        cav, ci = np.unique(cols[entries], return_inverse=True)
+        sub = np.zeros((ext.size, cav.size), dtype=complex)
+        sub[ri, ci] = vals[entries]
+        m[np.ix_(cav, cav)] = sub.T @ sub.conj()
 
     field = DensityOperator(psi.space, m, psi.tail_weight)
-    s = _as_squeeze(s) if s is not None else _infer_squeeze(psi)
     policy = policy if policy is not None else TruncationPolicy(n_max=n_max)
     return CavityFieldState(field, s, coupling, policy, n_max, psi.tail_weight)

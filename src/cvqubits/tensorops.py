@@ -239,21 +239,34 @@ def eig_hermitian(m) -> np.ndarray:
     return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
 
 
+def _component_labels(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """Smallest node of each node's connected component, over the edges u[i] -- v[i].
+
+    Each round, every node takes the smallest label among its own and its
+    neighbours', and labels are then followed until each names itself;
+    rounds repeat until no label moves.
+    """
+    label = np.arange(size)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, u, label[v])
+        np.minimum.at(low, v, label[u])
+        while not np.array_equal(low, low[low]):
+            low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
 def _sectors(m: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of m's exact nonzero pattern."""
-    nonzero = m != 0
-    linked = nonzero | nonzero.T
-    unseen = np.ones(len(m), dtype=bool)
-    out = []
-    while unseen.any():
-        block = new = np.array([np.argmax(unseen)])
-        unseen[new] = False
-        while new.size:
-            new = np.flatnonzero(linked[new].any(axis=0) & unseen)
-            unseen[new] = False
-            block = np.concatenate([block, new])
-        out.append(np.sort(block))
-    return out
+    """Index sets of the connected components of m's exact nonzero pattern.
+
+    The sets come sorted, and ordered by their smallest index.
+    """
+    rows, cols = np.nonzero(m != 0)
+    label = _component_labels(rows, cols, len(m))
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def _spectral_exp(h: np.ndarray, phase: complex) -> np.ndarray:

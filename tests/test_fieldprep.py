@@ -221,6 +221,50 @@ def test_inject_oracle_matches_full_product_reference(source, r):
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
+def random_pair_state(seed, dim=5):
+    """A random two-mode input: it correlates every level with every other."""
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=dim * dim) + 1j * rng.normal(size=dim * dim)
+    return StateVector(TruncatedFockSpace((dim, dim)), vec / np.linalg.norm(vec))
+
+
+def off_twin_state():
+    """|0, 2> + |3, 1> + |4, 4> (normalized): breaks nA = nB but leaves separate blocks."""
+    vec = np.zeros(25, dtype=complex)
+    vec[[0 * 5 + 2, 3 * 5 + 1, 4 * 5 + 4]] = [0.6, 0.48j, -0.64]
+    return StateVector(TruncatedFockSpace((5, 5)), vec)
+
+
+@pytest.mark.parametrize("source", ["squeezed", "random", "off-twin"])
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
+def test_inject_oracle_blocks_match_full_product_reference(source, r):
+    # the endpoints keep every photon (r = 0) or none (r = 1) in the cavity,
+    # so a wrong column of the exponential or a dropped block shows at once
+    if source == "squeezed":
+        psi = squeezed_state(SqueezeParam(1.0), TruncationPolicy(n_max=6))
+    else:
+        psi = random_pair_state(7) if source == "random" else off_twin_state()
+    got = inject_oracle(psi, CouplingParam(r), s=SqueezeParam(0.0)).rho.matrix
+    ref = reference_inject_oracle(psi, CouplingParam(r))
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [StateVector(TruncatedFockSpace((2, 2)), [0.0, 1.0, 0.0, 0.0]), random_pair_state(3)],
+    ids=["one-photon", "random"],
+)
+def test_squeezing_is_inferred_only_from_a_squeezed_vacuum(psi):
+    # |0, 1> and a random input carry no squeezing to read: one ValueError
+    # naming s=, and with s= given both routes run
+    for route in (inject, inject_oracle):
+        with pytest.raises(ValueError, match="s="):
+            route(psi, CouplingParam(0.5))
+        assert route(psi, CouplingParam(0.5), s=SqueezeParam(0.2)).s == SqueezeParam(0.2)
+    field = inject_oracle(psi, CouplingParam(0.5), s=SqueezeParam(0.2))
+    assert field.rho.trace().real == pytest.approx(psi.norm_sq(), abs=1e-13)
+
+
 def reference_inject(psi, coupling):
     """The number expansion through one (n+1)^2-square branch matrix, as first written.
 

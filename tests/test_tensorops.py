@@ -335,6 +335,21 @@ def test_mat_exp_sector_pattern_is_exact():
     np.testing.assert_allclose(mat_exp(h, scale=-1j * 1.7), taylor_exp(h, -1j * 1.7), rtol=0, atol=1e-12)
 
 
+def test_sectors_are_the_connected_components_of_one_sided_chains():
+    # each chain runs through scrambled indices, and each link is set as
+    # m[i, j] only, never m[j, i]: links must count both ways, and a chain's
+    # smallest index can sit anywhere along it
+    chains = np.split(np.random.default_rng(4).permutation(40), [17, 18, 30])
+    m = np.zeros((40, 40))
+    for chain in chains:
+        m[chain[:-1], chain[1:]] = 1.0
+    want = sorted((np.sort(c) for c in chains), key=lambda c: c[0])
+    got = _sectors(m)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
 def test_dense_hermitian_is_one_sector():
     blocks = _sectors(random_hermitian(7))
     assert len(blocks) == 1
