@@ -33,10 +33,12 @@ from .jcdynamics import (
     JCParams,
     EvolvedState,
     jc_unitary,
+    jc_unitary_series,
     jc_unitary_oracle,
     evolve,
     reduce_atoms,
     reduce_atoms_direct,
+    reduce_atoms_series,
     total_excitation,
 )
 from .analytic import (
@@ -82,10 +84,12 @@ __all__ = [
     "JCParams",
     "EvolvedState",
     "jc_unitary",
+    "jc_unitary_series",
     "jc_unitary_oracle",
     "evolve",
     "reduce_atoms",
     "reduce_atoms_direct",
+    "reduce_atoms_series",
     "total_excitation",
     "AtomXState",
     "WeightTable",

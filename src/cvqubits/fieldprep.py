@@ -33,11 +33,8 @@ __all__ = [
 ]
 
 # Keep a few photon levels even at tiny squeezing so multi-photon terms stay
-# exercised.  ORACLE_PAD is the headroom above the cutoff of the dense
-# beam-splitter construction that the tests keep as a reference;
-# inject_oracle needs none, because the splitter keeps each pair's total.
+# exercised.
 N_MAX_FLOOR = 4
-ORACLE_PAD = 2
 
 
 @dataclass(frozen=True)

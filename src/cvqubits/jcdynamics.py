@@ -7,12 +7,15 @@ The only parameter is the product of coupling and transit time, lambda*t.
 
 This module is the slow, assumption-free reference path: `evolve` +
 `reduce_atoms` materializes the full composite state, while
-`reduce_atoms_direct` contracts the field indices pair by pair -- the same
-algebra without the composite.  Because the transit conserves excitation,
-each cavity's field-traced propagator lives on a few diagonals of the
-field's photon indices; `reduce_atoms_direct` reads those diagonals from
-the unitary's exact zeros and touches only the matching field slices, so
-a grid point costs O(field_dim^2), cheap enough for the verification grids.
+`reduce_atoms_series` contracts the field indices pair by pair -- the same
+algebra without the composite -- for a whole vector of times.  Because the
+transit conserves excitation, each cavity's field-traced propagator lives
+on a few diagonals of the field's photon indices.  The series builds the
+unitaries of a chunk of times at once, takes each propagator for the chunk
+with one batched product, reads its diagonals from the exact zeros, and
+gathers each matching field slice once per call; a time then costs
+O(field_dim^2), and the chunk bounds the working memory however many times
+there are.  `reduce_atoms_direct` is its one-time case.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ __all__ = [
     "JCParams",
     "EvolvedState",
     "jc_unitary",
+    "jc_unitary_series",
     "jc_unitary_oracle",
     "evolve",
     "reduce_atoms",
     "reduce_atoms_direct",
+    "reduce_atoms_series",
     "total_excitation",
 ]
 
@@ -47,6 +52,10 @@ __all__ = [
 # always deposit its quantum without hitting the wall; the populated
 # sectors then evolve exactly unitarily.
 EVOLVE_PAD = 2
+# Times per batch of reduce_atoms_series: its unitaries and propagators take
+# about 0.4 MB per time at n_max 42, so a chunk bounds them whatever the
+# number of times.
+SERIES_CHUNK = 8
 
 ATOM_BASIS = ("ee", "eg", "ge", "gg")  # per-atom ordering: |e> = 0, |g> = 1
 
@@ -111,33 +120,47 @@ def _lt(params) -> float:
     return params.lambda_t if isinstance(params, JCParams) else JCParams(params).lambda_t
 
 
-def jc_unitary(params, field_dim: int) -> np.ndarray:
-    """Pair transit unitary on (atom x field), atom index slow, basis (|e>, |g>).
+def _times(lts) -> np.ndarray:
+    """The times of a series as a 1-D float array, each checked as JCParams does."""
+    times = np.asarray(lts, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"expected a 1-D vector of times, got shape {times.shape}")
+    bad = ~np.isfinite(times) | (times < 0.0)
+    if bad.any():
+        raise ValueError(f"lambda_t must be finite and >= 0, got {times[bad][0]}")
+    return times
 
-    Per photon level the excited/ground doublet rotates at the Rabi angle
+
+def jc_unitary_series(lts, field_dim: int) -> np.ndarray:
+    """Pair transit unitaries at each time, stacked (T, 2 field_dim, 2 field_dim).
+
+    Each is on (atom x field), atom index slow, basis (|e>, |g>).  Per
+    photon level the excited/ground doublet rotates at the Rabi angle
     lambda*t*sqrt(n).  Exactly unitary except at the top field level, where
     the outgoing quantum has nowhere to go; keep populated levels below the
     top (see EVOLVE_PAD).
     """
-    lt = _lt(params)
+    times = _times(lts)
     if field_dim < 2:
         raise ValueError(f"field_dim must be >= 2, got {field_dim}")
     dim = field_dim
     n = np.arange(dim, dtype=float)
-    lower = np.diag(np.sqrt(n[1:]), 1)
-    # sin(lt sqrt(n))/sqrt(n) with its n=0 limit spelled out, so the 0/0
-    # never reaches the arithmetic (the annihilator kills that column anyway)
-    sinc = np.empty(dim)
-    sinc[0] = lt
-    sinc[1:] = np.sin(lt * np.sqrt(n[1:])) / np.sqrt(n[1:])
-    sinc_up = np.sin(lt * np.sqrt(n + 1.0)) / np.sqrt(n + 1.0)
-
-    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    u[:dim, :dim] = np.diag(np.cos(lt * np.sqrt(n + 1.0)))
-    u[dim:, dim:] = np.diag(np.cos(lt * np.sqrt(n)))
-    u[:dim, dim:] = -1j * (lower @ np.diag(sinc))
-    u[dim:, :dim] = -1j * (lower.T @ np.diag(sinc_up))
+    lt = times[:, None]
+    root = np.sqrt(n[1:])
+    level = np.arange(dim)
+    u = np.zeros((len(times), 2 * dim, 2 * dim), dtype=complex)
+    u[:, level, level] = np.cos(lt * np.sqrt(n + 1.0))
+    u[:, dim + level, dim + level] = np.cos(lt * np.sqrt(n))
+    # |e, n-1> <-> |g, n> at sqrt(n) * sin(lt sqrt(n)) / sqrt(n), both ways
+    exchange = -1j * (root * (np.sin(lt * root) / root))
+    u[:, level[:-1], dim + level[1:]] = exchange
+    u[:, dim + level[1:], level[:-1]] = exchange
     return u
+
+
+def jc_unitary(params, field_dim: int) -> np.ndarray:
+    """Pair transit unitary at one time: the one-time case of :func:`jc_unitary_series`."""
+    return jc_unitary_series([_lt(params)], field_dim)[0]
 
 
 def jc_unitary_oracle(params, field_dim: int) -> np.ndarray:
@@ -208,63 +231,93 @@ def reduce_atoms(state: EvolvedState) -> DensityOperator:
 def _pair_band(u4: np.ndarray, col: int, col_dag: int, field_dim: int) -> dict[int, np.ndarray]:
     """Field-traced pair propagator between two atom input columns, by diagonal.
 
-    The propagator is C[i, n, j, m] = sum_p u[i, p, col, n] * conj(u[j, p, col_dag, m])
-    over field inputs n, m below ``field_dim``.  Returns, for each diagonal
-    d = n - m that its exact nonzero pattern populates, the (2, 2, field_dim - |d|)
-    array of C[i, n, j, n - d] over n = max(0, d) .. field_dim + min(0, d) - 1.
+    ``u4`` holds T transit unitaries as (T, atom out, field out, atom in,
+    field in).  The propagator is C[t, i, n, j, m] = sum_p u[t, i, p, col, n]
+    * conj(u[t, j, p, col_dag, m]) over field inputs n, m below
+    ``field_dim``, one batched matrix product for all times.  Returns, for
+    each diagonal d = n - m that its exact nonzero pattern populates at any
+    time, the (T, 4, field_dim - |d|) array of C[t, i, n, j, n - d] over
+    n = max(0, d) .. field_dim + min(0, d) - 1, with (i, j) flattened.
     """
-    c = np.tensordot(u4[:, :, col, :field_dim], u4[:, :, col_dag, :field_dim].conj(), axes=(1, 1))
-    c = c.transpose(0, 2, 1, 3)  # (i, j, n, m)
-    n, m = np.nonzero(np.any(c != 0, axis=(0, 1)))
-    return {int(d): np.diagonal(c, offset=-d, axis1=2, axis2=3) for d in np.unique(n - m)}
+    times, big = u4.shape[0], u4.shape[2]
+    ket = u4[:, :, :, col, :field_dim].transpose(0, 1, 3, 2).reshape(times, 2 * field_dim, big)
+    bra = np.empty((times, big, 2, field_dim), dtype=complex)
+    np.conjugate(u4[:, :, :, col_dag, :field_dim].transpose(0, 2, 1, 3), out=bra)
+    c = np.matmul(ket, bra.reshape(times, big, 2 * field_dim)).reshape(times, 2, field_dim, 2, field_dim)
+    n, m = np.nonzero(np.any(c != 0, axis=(0, 1, 3)))
+    return {
+        int(d): np.diagonal(c, offset=-d, axis1=2, axis2=4).reshape(times, 4, -1)
+        for d in np.unique(n - m)
+    }
 
 
-def reduce_atoms_direct(atoms: AtomState, field: CavityFieldState, params) -> DensityOperator:
-    """Reduced two-atom state after the transit, without the composite.
+def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.ndarray:
+    """Reduced two-atom states after the transit at each time, stacked (T, 4, 4).
 
     Identical algebra to evolve + reduce_atoms (the tests pin the two paths
     together), contracted one cavity at a time.  Each cavity's propagator,
     traced over the outgoing field, lives on a few diagonals n - m of the
     incoming field's indices -- the transit conserves excitation -- and the
-    diagonals are read from the unitary's exact zeros, never from the
-    field.  Each pair of diagonals (dA, dB) then meets only the
-    field_dim x field_dim slice rho[(nA, nB), (nA - dA, nB - dB)], read
-    straight from the field matrix, so a point costs O(field_dim^2) and no
-    copy of the field is made.  Any field is handled, whether or not it
-    conserves nA - nB.
+    diagonals are read from the unitaries' exact zeros, never from the
+    field; a diagonal populated at any time is kept at every time, where it
+    may hold exact zeros (at lambda_t = 0, say).  Each pair of diagonals
+    (dA, dB) then meets only the field_dim x field_dim slice
+    rho[(nA, nB), (nA - dA, nB - dB)], read straight from the field matrix
+    once per call, so no copy of the field is made.  Any field is handled,
+    whether or not it conserves nA - nB.
+
+    The times go SERIES_CHUNK at a time: the unitaries and propagators of
+    one chunk are built with batched products and freed before the next,
+    so the working memory does not grow with the number of times.  Rows
+    are in the basis (|e,e>, |e,g>, |g,e>, |g,g>).
     """
+    times = _times(lts)
     fdim = field.rho.space.factor_dims[0]
     big = fdim + EVOLVE_PAD
-    u4 = jc_unitary(params, big).reshape(2, big, 2, big)
     rho = field.rho.matrix
 
     chi = atoms.vector.reshape(2, 2)
     occupied = [(int(ia), int(ib)) for ia in range(2) for ib in range(2) if chi[ia, ib] != 0.0]
-    bands: dict[tuple[int, int], dict[int, np.ndarray]] = {}
-
-    def band(col: int, col_dag: int) -> dict[int, np.ndarray]:
-        if (col, col_dag) not in bands:
-            bands[col, col_dag] = _pair_band(u4, col, col_dag, fdim)
-        return bands[col, col_dag]
+    pairs = [(ket, bra) for ket in occupied for bra in occupied]
+    cols = sorted({(ket[side], bra[side]) for ket, bra in pairs for side in (0, 1)})
+    slices: dict[tuple[int, int], np.ndarray] = {}
 
     def field_slice(d_a: int, d_b: int) -> np.ndarray:
         # S[nA, nB] = rho[(nA, nB), (nA - dA, nB - dB)] over the in-range nA, nB
-        na = np.arange(max(0, d_a), fdim + min(0, d_a))
-        nb = np.arange(max(0, d_b), fdim + min(0, d_b))
-        rows = na[:, None] * fdim + nb
-        return rho[rows, rows - (d_a * fdim + d_b)]
+        if (d_a, d_b) not in slices:
+            na = np.arange(max(0, d_a), fdim + min(0, d_a))
+            nb = np.arange(max(0, d_b), fdim + min(0, d_b))
+            rows = na[:, None] * fdim + nb
+            slices[d_a, d_b] = rho[rows, rows - (d_a * fdim + d_b)]
+        return slices[d_a, d_b]
 
-    out = np.zeros((2, 2, 2, 2), dtype=complex)  # [i, j, k, l]: A ket, A bra, B ket, B bra
-    for ket_a, ket_b in occupied:
-        for bra_a, bra_b in occupied:
+    stack = np.empty((len(times), 4, 4), dtype=complex)
+    for start in range(0, len(times), SERIES_CHUNK):
+        chunk = times[start : start + SERIES_CHUNK]
+        u4 = jc_unitary_series(chunk, big).reshape(-1, 2, big, 2, big)
+        bands = {col: _pair_band(u4, *col, fdim) for col in cols}
+        del u4  # the bands hold all that the contraction needs
+
+        # [t, i, j, k, l]: A ket, A bra, B ket, B bra
+        out = np.zeros((len(chunk), 2, 2, 2, 2), dtype=complex)
+        for (ket_a, ket_b), (bra_a, bra_b) in pairs:
             weight = chi[ket_a, ket_b] * np.conj(chi[bra_a, bra_b])
-            for d_a, va in band(ket_a, bra_a).items():
-                for d_b, vb in band(ket_b, bra_b).items():
-                    block = va.reshape(4, -1) @ field_slice(d_a, d_b) @ vb.reshape(4, -1).T
-                    out += weight * block.reshape(2, 2, 2, 2)
+            for d_a, va in bands[ket_a, bra_a].items():
+                for d_b, vb in bands[ket_b, bra_b].items():
+                    left = va.reshape(-1, va.shape[2]) @ field_slice(d_a, d_b)
+                    block = left.reshape(len(chunk), 4, -1) @ vb.transpose(0, 2, 1)
+                    out += weight * block.reshape(-1, 2, 2, 2, 2)
+        # regroup (i,j,k,l) -> rows (i,k), cols (j,l)
+        stack[start : start + len(chunk)] = out.transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    return stack
 
-    # regroup (i,j,k,l) -> rows (i,k), cols (j,l)
-    rho4 = out.transpose(0, 2, 1, 3).reshape(4, 4)
+
+def reduce_atoms_direct(atoms: AtomState, field: CavityFieldState, params) -> DensityOperator:
+    """Reduced two-atom state after the transit at one time, without the composite.
+
+    The one-time case of :func:`reduce_atoms_series`.
+    """
+    rho4 = reduce_atoms_series(atoms, field, [_lt(params)])[0]
     return DensityOperator(TruncatedFockSpace((2, 2)), rho4, field.tail_weight)
 
 

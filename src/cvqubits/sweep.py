@@ -3,11 +3,13 @@
 A sweep walks the (s, r, initial, lambda_t) grid in a fixed nesting order,
 computes the entanglement measure with the requested engine(s), and emits
 one CSV row per point.  The walk is serial and goes one (s, r) group at
-a time: the analytic engine evaluates each (s, r, initial) as one series
-over all times, and the oracle's injected field lives only while its
-group is walked.  Number formatting and grid generation are
-deterministic, so rerunning a configuration reproduces the file byte for
-byte.
+a time: both engines evaluate each (s, r, initial) as one series over
+all times -- the analytic engine in closed form, the oracle through the
+dense reduced-state series, which walks the times in fixed-size chunks
+so its working memory does not grow with their number -- and the
+oracle's injected field lives only while its group is walked.  Number
+formatting and grid generation are deterministic, so rerunning a
+configuration reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from .analytic import AtomXState, negativity_closed_form, xstate_series
 from .entanglement import negativity_general
 from .fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
-from .jcdynamics import AtomState, reduce_atoms_direct
+from .jcdynamics import SERIES_CHUNK, AtomState, reduce_atoms_series
+from .tensorops import DensityOperator, TruncatedFockSpace
 
 __all__ = [
     "ConfigError",
@@ -130,16 +133,23 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
     returned states; and up to 256 KiB of numpy buffers (tracemalloc:
     1.73 MB at n_max 314 with one time, 9.6 MB at n_max 63 with 2000).
     The oracle holds the injected complex field, 16 (n+1)^4 B.  Next to
-    it, inject's per-sector blocks, and later reduce_atoms_direct's transit
-    unitary, traced propagator and one field slice, take under 1 KiB per
-    (n+1)^2 (tracemalloc: 0.8 MB at n_max 42).
+    it, inject's per-sector blocks and the up to 25 field slices that
+    reduce_atoms_series gathers take under 512 B per (n+1)^2.  The series
+    walks the times SERIES_CHUNK at a time; per time of a chunk it holds
+    the unitary, the two reordered halves of it that one band's product
+    takes, the propagator and the diagonals, under 256 B per (n+3)^2, and
+    it returns 256 B per time (tracemalloc at n_max 42, field aside: 3.4 MB
+    for 64 times and 3.7 MB for 1024 from |g,g>; 4.3 and 4.5 MB from a
+    superposition of all four atom states, which needs every slice).
     """
     need = 0
     if engine in ("analytic", "both"):
         rungs = n_max + 2
         need += 16 * rungs**2 + (72 * rungs + 416) * lt_steps + 2**18
     if engine in ("oracle", "both"):
-        need += 16 * (n_max + 1) ** 4 + 1024 * (n_max + 1) ** 2
+        chunk = min(lt_steps, SERIES_CHUNK)
+        need += 16 * (n_max + 1) ** 4 + 512 * (n_max + 1) ** 2 + 256 * chunk * (n_max + 3) ** 2
+        need += 256 * lt_steps
     return need
 
 
@@ -186,11 +196,13 @@ def _matrix_parts(m: np.ndarray) -> tuple[float, float, float, float, float]:
 def _walk(config: SweepConfig):
     """Yield (row, oracle state) per grid point, in emission order.
 
-    Emission order is s, then r, then initial, then time.  The analytic
-    engine evaluates each (s, r, initial) as one series over all times.
-    The oracle injects one field when an (s, r) group starts and drops it
-    when the group ends; its reduced 4x4 state comes along with each row
-    (None for the analytic engine alone).
+    Emission order is s, then r, then initial, then time.  Each engine
+    evaluates each (s, r, initial) as one series over all times:
+    ``xstate_series`` for the analytic engine, ``reduce_atoms_series`` for
+    the oracle, which takes the times SERIES_CHUNK at a time.  The oracle
+    injects one field when an (s, r) group starts and drops it when the
+    group ends; its reduced 4x4 state comes along with each row (None for
+    the analytic engine alone).
     """
     config.validate()
     policy = config.policy()
@@ -204,16 +216,15 @@ def _walk(config: SweepConfig):
         for r in config.r_values:
             field = inject(psi, CouplingParam(r), s=sq, policy=policy) if use_oracle else None
             for initial in config.initials:
-                if use_analytic:
-                    states = xstate_series(s, r, lts, n_max, initial)
-                else:
-                    states = [None] * len(lts)
-                for lt, x in zip(lts.tolist(), states):
+                none = [None] * len(lts)
+                states = xstate_series(s, r, lts, n_max, initial) if use_analytic else none
+                dense = reduce_atoms_series(AtomState(initial), field, lts) if use_oracle else none
+                for lt, x, m4 in zip(lts.tolist(), states, dense):
                     measure = disagreement = rho4 = None
                     if use_analytic:
                         measure = negativity_closed_form(x)
                     if use_oracle:
-                        rho4 = reduce_atoms_direct(AtomState(initial), field, lt)
+                        rho4 = DensityOperator(TruncatedFockSpace((2, 2)), m4, field.tail_weight)
                         report = negativity_general(rho4)
                         if not use_analytic:
                             measure = report.measure

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import cvqubits.sweep as sweep_mod
-from cvqubits.analytic import xstate_series
+from cvqubits.analytic import negativity_closed_form, xstate_series
 from cvqubits.cli import main
+from cvqubits.entanglement import negativity_general
 from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
-from cvqubits.jcdynamics import AtomState, reduce_atoms_direct
+from cvqubits.jcdynamics import SERIES_CHUNK, AtomState, reduce_atoms_direct, reduce_atoms_series
 from cvqubits.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -47,6 +48,32 @@ def test_run_sweep_emission_order():
     key = [(r.s, r.r, r.initial, r.lambda_t) for r in rows]
     assert key == sorted(key, key=lambda k: (k[0], k[1], {"gg": 0, "ee": 1}[k[2]], k[3]))
     assert len(rows) == 16
+
+
+def test_oracle_rows_equal_the_per_point_dense_route():
+    # the walk's series against one reduce_atoms_direct per point, across a
+    # chunk boundary and through lambda_t = 0, for both dense engines
+    config = SweepConfig(s_values=[0.3, 0.65], r_values=[0.0, 0.7], lt_start=0.0, lt_stop=12.0,
+                         lt_steps=SERIES_CHUNK + 3, initials=("gg", "ee"), engine="oracle")
+    policy = config.policy()
+    lts = config.lt_values()
+    measures, gaps = [], []
+    for s in config.s_values:
+        n_max, _ = policy.resolve(SqueezeParam(s))
+        psi = squeezed_state(SqueezeParam(s), policy)
+        for r in config.r_values:
+            field = inject(psi, CouplingParam(r))
+            for initial in config.initials:
+                for lt, x in zip(lts.tolist(), xstate_series(s, r, lts, n_max, initial)):
+                    rho4 = reduce_atoms_direct(AtomState(initial), field, lt)
+                    measure = negativity_general(rho4).measure
+                    m = rho4.matrix
+                    parts = (m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, m[0, 3].real)
+                    deltas = [abs(p - q) for p, q in zip((x.a, x.b, x.c, x.d, x.e_coh), parts)]
+                    measures.append(measure)
+                    gaps.append(max(deltas + [abs(negativity_closed_form(x) - measure)]))
+    assert [row.measure for row in run_sweep(config)] == measures
+    assert [row.disagreement for row in run_sweep(replace(config, engine="both"))] == gaps
 
 
 def test_run_sweep_both_engine_disagreement_column():
@@ -110,6 +137,27 @@ def test_oracle_memory_estimate_covers_measured_peak(n_max):
         tracemalloc.stop()
     estimate = sweep_mod._peak_bytes(n_max, 1, "oracle")
     assert peak <= estimate <= 2 * peak
+
+
+def test_oracle_series_memory_does_not_grow_with_the_times():
+    # one s = 1 group of the walk: the field, then one dense series; from
+    # 64 to 1024 times only the returned (T, 4, 4) stack may grow
+    policy = TruncationPolicy()
+    n_max, _ = policy.resolve(SqueezeParam(1.0))
+    psi = squeezed_state(SqueezeParam(1.0), policy)
+    peaks = {}
+    for lt_steps in (64, 1024):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            field = inject(psi, CouplingParam(0.25))
+            reduce_atoms_series(AtomState("ee"), field, np.linspace(0.0, 15.0, lt_steps))
+            peaks[lt_steps] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        del field
+        assert peaks[lt_steps] <= sweep_mod._peak_bytes(n_max, lt_steps, "oracle")
+    assert abs(peaks[1024] - peaks[64]) <= 256 * (1024 - 64) + 2**16
 
 
 @pytest.mark.parametrize("n_max,lt_steps", [(314, 1), (63, 2000)])

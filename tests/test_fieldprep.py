@@ -5,7 +5,6 @@ import pytest
 
 from cvqubits.fieldprep import (
     N_MAX_FLOOR,
-    ORACLE_PAD,
     CouplingParam,
     SqueezeParam,
     TruncationPolicy,
@@ -18,6 +17,9 @@ from cvqubits.fieldprep import (
 from cvqubits.tensorops import StateVector, TruncatedFockSpace, mat_exp
 
 S_GRID = [0.0, 0.3, 0.65, 1.0]
+# Headroom above the cutoff of the dense beam-splitter reference below;
+# inject_oracle needs none, because the splitter keeps each pair's total.
+ORACLE_PAD = 2
 R_GRID = [0.0, 0.25, 0.5, 0.7, 0.99, 1.0]
 
 

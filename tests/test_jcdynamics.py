@@ -8,19 +8,25 @@ from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, in
 from cvqubits.jcdynamics import (
     ATOM_BASIS,
     EVOLVE_PAD,
+    SERIES_CHUNK,
     AtomState,
     EvolvedState,
     JCParams,
     evolve,
     jc_unitary,
     jc_unitary_oracle,
+    jc_unitary_series,
     reduce_atoms,
     reduce_atoms_direct,
+    reduce_atoms_series,
     total_excitation,
 )
 from cvqubits.tensorops import DensityOperator, StateVector, TruncatedFockSpace
 
 LT_GRID = [0.1, 1.0, 5.0, 11.0, 15.0]
+# starts at lambda_t = 0, where the off-diagonal bands vanish, and crosses
+# a chunk boundary of the dense series
+SERIES_LTS = np.concatenate([[0.0, 0.0], np.linspace(0.4, 14.0, SERIES_CHUNK + 1)])
 
 
 def small_field(s=0.3, r=0.25, n_max=6):
@@ -100,6 +106,27 @@ def test_jc_unitary_matches_exponential(lt, dim):
     got, ref = got.copy(), ref.copy()
     got[:, dim - 1] = ref[:, dim - 1] = 0.0
     assert np.max(np.abs(got - ref)) < 1e-11
+
+
+@pytest.mark.parametrize("dim", [5, 31])
+def test_jc_unitary_series_matches_exponential_time_by_time(dim):
+    stack = jc_unitary_series(SERIES_LTS, dim)
+    assert stack.shape == (len(SERIES_LTS), 2 * dim, 2 * dim)
+    for lt, got in zip(SERIES_LTS, stack):
+        np.testing.assert_array_equal(got, jc_unitary(lt, dim))
+        ref = jc_unitary_oracle(lt, dim)
+        got, ref = got.copy(), ref.copy()
+        got[:, dim - 1] = ref[:, dim - 1] = 0.0  # the uncoupled top excited level
+        assert np.max(np.abs(got - ref)) < 1e-11
+
+
+@pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+def test_series_reject_bad_times(bad):
+    lts = [0.0, 1.0, bad, 2.0]
+    with pytest.raises(ValueError, match="lambda_t must be finite and >= 0"):
+        jc_unitary_series(lts, 6)
+    with pytest.raises(ValueError, match="lambda_t must be finite and >= 0"):
+        reduce_atoms_series(AtomState("gg"), small_field(), lts)
 
 
 @pytest.mark.parametrize("lt", LT_GRID)
@@ -296,6 +323,18 @@ def test_direct_reduction_matches_regrouped_reference(s, r):
             assert np.max(np.abs(got - ref)) < 1e-13
 
 
+@pytest.mark.parametrize("s", [0.3, 0.65])
+@pytest.mark.parametrize("name", ["gg", "ee", "bell", "superposition"])
+def test_series_matches_regrouped_reference(s, name):
+    policy = TruncationPolicy()
+    field = inject(squeezed_state(SqueezeParam(s), policy), CouplingParam(0.25))
+    atoms = AtomState(REDUCE_ATOMS[name])
+    stack = reduce_atoms_series(atoms, field, SERIES_LTS)
+    assert stack.shape == (len(SERIES_LTS), 4, 4)
+    for lt, got in zip(SERIES_LTS, stack):
+        assert np.max(np.abs(got - reference_reduce_atoms_direct(atoms, field, lt))) < 1e-13
+
+
 @pytest.mark.parametrize("name", ["gg", "ee", "ge", "bell", "superposition"])
 def test_direct_reduction_of_a_field_that_breaks_photon_difference(name):
     # a random mixed two-mode field couples every (nA - nB) sector to every
@@ -312,3 +351,19 @@ def test_direct_reduction_of_a_field_that_breaks_photon_difference(name):
         via_composite = reduce_atoms(evolve(atoms, field, lt)).matrix
         direct = reduce_atoms_direct(atoms, field, lt).matrix
         assert np.max(np.abs(via_composite - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["gg", "ee", "ge", "bell", "superposition"])
+def test_series_of_a_field_that_breaks_photon_difference(name):
+    # every diagonal pair of the propagators meets a nonzero field slice
+    fdim = 5
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(fdim**2, fdim**2)) + 1j * rng.normal(size=(fdim**2, fdim**2))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    template = small_field(n_max=fdim - 1)
+    field = replace(template, rho=DensityOperator(template.rho.space, rho))
+    atoms = AtomState(REDUCE_ATOMS[name])
+    stack = reduce_atoms_series(atoms, field, SERIES_LTS)
+    for lt, got in zip(SERIES_LTS, stack):
+        assert np.max(np.abs(got - reference_reduce_atoms_direct(atoms, field, lt))) < 1e-13
