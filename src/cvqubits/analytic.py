@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,33 +36,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AtomXState:
-    """Reduced two-atom state in X form at one interaction time.
+    """Reduced two-atom state in X form, at one interaction time or a series of them.
 
     Populations a, b, c, d on (|e,e>, |e,g>, |g,e>, |g,g>) and the real
     corner coherence e_coh = <e,e|rho|g,g>, plus the parameters that
-    produced them.
+    produced them.  The elements and lambda_t are floats at one time, or
+    (T,) arrays over a series.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
-    e_coh: float
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
+    d: float | np.ndarray
+    e_coh: float | np.ndarray
     s: float
     r: float
-    lambda_t: float
+    lambda_t: float | np.ndarray
     initial: str
     n_max: int
     tail_weight: float = 0.0
 
-    def trace(self) -> float:
+    def trace(self):
         return self.a + self.b + self.c + self.d
 
     def to_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.a, self.b, self.c, self.d
-        m[0, 3] = m[3, 0] = self.e_coh
+        """The 4x4 density matrix, or the (T, 4, 4) stack of a series."""
+        m = np.zeros(np.shape(self.a) + (4, 4), dtype=complex)
+        m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], m[..., 3, 3] = self.a, self.b, self.c, self.d
+        m[..., 0, 3] = m[..., 3, 0] = self.e_coh
         return m
+
+    def point(self, i: int) -> "AtomXState":
+        """The state at time index i of a series, with float elements."""
+        return replace(self, **{name: float(getattr(self, name)[i])
+                                for name in ("a", "b", "c", "d", "e_coh", "lambda_t")})
 
 
 class WeightTable:
@@ -108,8 +115,8 @@ class _LadderRows(Sequence):
         return self._ladder[n, n::-1]
 
 
-def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> list[AtomXState]:
-    """Reduced atom states at every interaction time in ``lambda_ts``.
+def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> AtomXState:
+    """Reduced atom state at every interaction time in ``lambda_ts``, as (T,) arrays.
 
     One weight table serves the whole series.  A Rabi angle depends only on
     the rung j of the table's ladder, so each ladder sum -- exchange,
@@ -147,15 +154,12 @@ def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> list[AtomXState]
     del weights
 
     w_same = table.prefactor[:: 2][:levels, None]  # (tanh s)^(2n)/cosh^2 s
-    if initial == "gg":
-        a = _level_sums(w_same * flip * flip)
-        b = _level_sums(w_same * flip * stay)
-        d = _level_sums(w_same * stay * stay)
-    else:
-        a = _level_sums(w_same * stay * stay)
-        b = _level_sums(w_same * stay * flip)
-        d = _level_sums(w_same * flip * flip)
-    del flip, stay
+    # an atom ends excited by flipping from |g> or by staying in |e>
+    excited, ground = (flip, stay) if initial == "gg" else (stay, flip)
+    a = _level_sums(w_same * excited * excited)
+    b = _level_sums(w_same * excited * ground)
+    d = _level_sums(w_same * ground * ground)
+    del flip, stay, excited, ground
 
     # corner coherence: couples neighbouring levels, so it only exists for
     # pairs (n, n+1) that both fit under the cutoff; on rung j the pair
@@ -168,25 +172,21 @@ def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> list[AtomXState]
     corner = table.prefactor[1 : 2 * n_max : 2, None] * amp * amp
     # each cavity contributes one emission amplitude carrying -i; their
     # product makes the physical corner the negative of the bare sum
-    e_coh = [-total for total in _level_sums(corner)]
+    e_coh = -_level_sums(corner)
 
-    tail = sq.tanh ** (2 * (n_max + 1))
-    return [
-        # c = b: identical cavities and couplings on both sides
-        AtomXState(a=ai, b=bi, c=bi, d=di, e_coh=ei, s=sq.s, r=cp.r, lambda_t=lt,
-                   initial=initial, n_max=n_max, tail_weight=tail)
-        for ai, bi, di, ei, lt in zip(a, b, d, e_coh, lts.tolist())
-    ]
+    # c = b: identical cavities and couplings on both sides
+    return AtomXState(a=a, b=b, c=b, d=d, e_coh=e_coh, s=sq.s, r=cp.r, lambda_t=lts,
+                      initial=initial, n_max=n_max, tail_weight=sq.tanh ** (2 * (n_max + 1)))
 
 
-def _level_sums(terms: np.ndarray) -> list[float]:
+def _level_sums(terms: np.ndarray) -> np.ndarray:
     """Exactly rounded sum over the level axis (rows) for every time (column)."""
-    return [math.fsum(column) for column in terms.T.tolist()]
+    return np.array([math.fsum(column) for column in terms.T.tolist()], dtype=float)
 
 
 def xstate_gg(s, r, lambda_t, n_max: int) -> AtomXState:
     """Reduced atom state for both atoms starting in the ground state."""
-    return xstate_series(s, r, (lambda_t,), n_max, "gg")[0]
+    return xstate_series(s, r, (lambda_t,), n_max, "gg").point(0)
 
 
 def xstate_ee(s, r, lambda_t, n_max: int) -> AtomXState:
@@ -197,15 +197,16 @@ def xstate_ee(s, r, lambda_t, n_max: int) -> AtomXState:
     extra quantum each atom brings in.  The dense oracle, not the
     transcription, is the ground truth the tests enforce.
     """
-    return xstate_series(s, r, (lambda_t,), n_max, "ee")[0]
+    return xstate_series(s, r, (lambda_t,), n_max, "ee").point(0)
 
 
-def negativity_closed_form(x: AtomXState) -> float:
+def negativity_closed_form(x: AtomXState):
     """Entanglement measure of an X state: max(0, sqrt((b-c)^2+4e^2)-b-c).
 
     This is -2 times the only partial-transpose eigenvalue of the X form
     that can turn negative; clamped at zero because a positive partial
-    transpose means no entanglement, not a negative amount.
+    transpose means no entanglement, not a negative amount.  Element-wise
+    over a series; a NaN stays NaN, and a zero is always +0.0.
     """
-    raw = math.sqrt((x.b - x.c) ** 2 + 4.0 * x.e_coh**2) - x.b - x.c
-    return max(0.0, raw)
+    raw = np.sqrt(np.square(x.b - x.c) + 4.0 * np.square(x.e_coh)) - x.b - x.c
+    return np.maximum(raw, 0.0) + 0.0

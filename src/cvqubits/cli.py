@@ -163,7 +163,7 @@ def _emit_rows(config: SweepConfig) -> None:
         write_csv(rows, sys.stdout)
     if config.engine == "both":
         worst = worst_disagreement(rows)
-        if worst >= DISAGREE_TOL:
+        if not worst < DISAGREE_TOL:  # a NaN fails too
             raise VerificationError(
                 f"engines disagree by up to {worst:.3e} (tolerance {DISAGREE_TOL:.0e})"
             )

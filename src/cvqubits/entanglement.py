@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import DensityOperator, TruncatedFockSpace, eig_hermitian, partial_transpose
+from .tensorops import DensityOperator, _transpose_factor, eig_hermitian
 
 __all__ = ["EntanglementReport", "negativity_general"]
 
@@ -24,36 +24,37 @@ NEGATIVITY_TOL = 1e-10
 class EntanglementReport:
     """Verdict plus the raw spectrum, so near-threshold behaviour stays visible."""
 
-    measure: float
+    measure: float | np.ndarray
     pt_eigenvalues: np.ndarray  # ascending
-    is_entangled: bool
-    min_eigenvalue: float
+    is_entangled: bool | np.ndarray
+    min_eigenvalue: float | np.ndarray
 
 
 def negativity_general(rho) -> EntanglementReport:
     """Measure and verdict from the partial-transpose spectrum.
 
-    Accepts a (2, 2)-factored DensityOperator or a bare 4x4 matrix.  The
-    transpose is taken over the second qubit; which qubit is transposed
-    does not change the spectrum.
+    Accepts a (2, 2)-factored DensityOperator, a bare 4x4 matrix, or a
+    (T, 4, 4) stack of them; for a stack each field of the report holds one
+    entry per matrix.  The transpose is taken over the second qubit; which
+    qubit is transposed does not change the spectrum.
     """
     if isinstance(rho, DensityOperator):
         if rho.space.factor_dims != (2, 2):
             raise ValueError(f"expected a two-qubit state, got factors {rho.space.factor_dims}")
-        op = rho
+        m = rho.matrix
     else:
         m = np.asarray(rho, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 two-qubit state, got shape {m.shape}")
-        op = DensityOperator(TruncatedFockSpace((2, 2)), m)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+            raise ValueError(f"expected a 4x4 two-qubit state or a stack of them, got shape {m.shape}")
 
-    spectrum = eig_hermitian(partial_transpose(op, 1).matrix)
-    negative = float(spectrum[spectrum < 0.0].sum())
-    measure = max(0.0, -2.0 * negative)
-    lowest = float(spectrum[0])
+    spectrum = eig_hermitian(_transpose_factor(m, (2, 2), 1))
+    negative = np.where(spectrum < 0.0, spectrum, 0.0).sum(axis=-1)
+    # a NaN stays NaN; adding +0.0 turns -2 * 0.0 into +0.0
+    measure = np.maximum(-2.0 * negative, 0.0) + 0.0
+    lowest = spectrum[..., 0]
     return EntanglementReport(
         measure=measure,
         pt_eigenvalues=spectrum,
-        is_entangled=bool(lowest < -NEGATIVITY_TOL),
+        is_entangled=lowest < -NEGATIVITY_TOL,
         min_eigenvalue=lowest,
     )

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytic import AtomXState, negativity_closed_form, xstate_series
+from .analytic import negativity_closed_form, xstate_series
 from .entanglement import negativity_general
 from .fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
-from .jcdynamics import SERIES_CHUNK, AtomState, reduce_atoms_series
-from .tensorops import DensityOperator, TruncatedFockSpace
+from .jcdynamics import EVOLVE_PAD, SERIES_CHUNK, AtomState, reduce_atoms_series
+from .tensorops import PSD_FLOOR, _violations
 
 __all__ = [
     "ConfigError",
@@ -76,6 +76,10 @@ class SweepConfig:
         for s in self.s_values:
             if not (math.isfinite(s) and s >= 0.0):
                 raise ConfigError(f"squeezing value must be finite and >= 0, got {s}")
+            try:
+                SqueezeParam(s).cosh ** 2  # the weight table divides by it
+            except OverflowError:
+                raise ConfigError(f"cosh(s)**2 overflows at squeezing value {s}; lower --s") from None
         if not self.r_values:
             raise ConfigError("no reflection values given (use --r)")
         for r in self.r_values:
@@ -106,6 +110,11 @@ class SweepConfig:
             n_top = max(policy.resolve(s)[0] for s in self.s_values)
         except ValueError as err:
             raise ConfigError(f"{err} (--n-max)") from None
+        # the largest Rabi angle, lambda_t sqrt(n) at the dense transit's top padded level
+        if not math.isfinite(self.lt_stop * math.sqrt(n_top + 1 + EVOLVE_PAD)):
+            raise ConfigError(
+                f"lt-stop {self.lt_stop} overflows the largest Rabi angle; lower --lt-stop"
+            )
         need = _peak_bytes(n_top, self.lt_steps, self.engine)
         if need > MEMORY_BUDGET:
             raise ConfigError(
@@ -129,27 +138,30 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
 
     The analytic series holds its (n+2)-square splitting ladder and one
     product of it at a time, 16 (n+2)^2 B; 72 B per (rung, time) in its
-    trig tables, level sums and their temporaries; 416 B per time for the
-    returned states; and up to 256 KiB of numpy buffers (tracemalloc:
-    1.73 MB at n_max 314 with one time, 9.6 MB at n_max 63 with 2000).
+    trig tables, level sums and their temporaries; 64 B per time for the
+    returned arrays (tracemalloc: 56 B at n_max 1); and up to 256 KiB of
+    numpy buffers (tracemalloc: 1.74 MB at n_max 314 with one time, 9.5 MB
+    at n_max 63 with 2000).
     The oracle holds the injected complex field, 16 (n+1)^4 B.  Next to
     it, inject's per-sector blocks and the up to 25 field slices that
     reduce_atoms_series gathers take under 512 B per (n+1)^2.  The series
     walks the times SERIES_CHUNK at a time; per time of a chunk it holds
     the unitary, the two reordered halves of it that one band's product
-    takes, the propagator and the diagonals, under 256 B per (n+3)^2, and
-    it returns 256 B per time (tracemalloc at n_max 42, field aside: 3.4 MB
-    for 64 times and 3.7 MB for 1024 from |g,g>; 4.3 and 4.5 MB from a
-    superposition of all four atom states, which needs every slice).
+    takes, the propagator and the diagonals, under 256 B per (n+3)^2.  It
+    returns a 256 B state per time (tracemalloc at n_max 42, field aside:
+    3.4 MB for 64 times and 3.7 MB for 1024 from |g,g>; 4.3 and 4.5 MB from
+    a superposition of all four atom states, which needs every slice);
+    measuring it takes up to five more of its size, 1536 B per time in all
+    (tracemalloc over the walk: 1424 B per time at n_max 13).
     """
     need = 0
     if engine in ("analytic", "both"):
         rungs = n_max + 2
-        need += 16 * rungs**2 + (72 * rungs + 416) * lt_steps + 2**18
+        need += 16 * rungs**2 + (72 * rungs + 64) * lt_steps + 2**18
     if engine in ("oracle", "both"):
         chunk = min(lt_steps, SERIES_CHUNK)
         need += 16 * (n_max + 1) ** 4 + 512 * (n_max + 1) ** 2 + 256 * chunk * (n_max + 3) ** 2
-        need += 256 * lt_steps
+        need += 1536 * lt_steps
     return need
 
 
@@ -185,24 +197,16 @@ def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def _x_parts(x: AtomXState) -> tuple[float, float, float, float, float]:
-    return (x.a, x.b, x.c, x.d, x.e_coh)
-
-
-def _matrix_parts(m: np.ndarray) -> tuple[float, float, float, float, float]:
-    return (m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, m[0, 3].real)
-
-
 def _walk(config: SweepConfig):
-    """Yield (row, oracle state) per grid point, in emission order.
+    """Yield (rows, oracle states) per (s, r, initial), in emission order.
 
     Emission order is s, then r, then initial, then time.  Each engine
-    evaluates each (s, r, initial) as one series over all times:
-    ``xstate_series`` for the analytic engine, ``reduce_atoms_series`` for
-    the oracle, which takes the times SERIES_CHUNK at a time.  The oracle
-    injects one field when an (s, r) group starts and drops it when the
-    group ends; its reduced 4x4 state comes along with each row (None for
-    the analytic engine alone).
+    evaluates each (s, r, initial) as one series over all times, as
+    arrays: ``xstate_series`` for the analytic engine,
+    ``reduce_atoms_series`` for the oracle, which takes the times
+    SERIES_CHUNK at a time and whose (T, 4, 4) stack comes along with the
+    rows (None for the analytic engine alone).  The oracle injects one
+    field when an (s, r) group starts and drops it when the group ends.
     """
     config.validate()
     policy = config.policy()
@@ -216,28 +220,27 @@ def _walk(config: SweepConfig):
         for r in config.r_values:
             field = inject(psi, CouplingParam(r), s=sq, policy=policy) if use_oracle else None
             for initial in config.initials:
-                none = [None] * len(lts)
-                states = xstate_series(s, r, lts, n_max, initial) if use_analytic else none
-                dense = reduce_atoms_series(AtomState(initial), field, lts) if use_oracle else none
-                for lt, x, m4 in zip(lts.tolist(), states, dense):
-                    measure = disagreement = rho4 = None
-                    if use_analytic:
-                        measure = negativity_closed_form(x)
+                gaps = dense = None
+                if use_oracle:
+                    dense = reduce_atoms_series(AtomState(initial), field, lts)
+                    # a state that is not Hermitian has no spectrum to measure; verify says why
+                    hermitian = np.abs(dense - dense.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= 1e-10
+                    measure = np.full(len(lts), np.nan)
+                    measure[hermitian] = negativity_general(dense[hermitian]).measure
+                if use_analytic:
+                    x = xstate_series(s, r, lts, n_max, initial)
+                    closed = negativity_closed_form(x)
                     if use_oracle:
-                        rho4 = DensityOperator(TruncatedFockSpace((2, 2)), m4, field.tail_weight)
-                        report = negativity_general(rho4)
-                        if not use_analytic:
-                            measure = report.measure
-                        else:
-                            deltas = [
-                                abs(p - q) for p, q in zip(_x_parts(x), _matrix_parts(rho4.matrix))
-                            ]
-                            deltas.append(abs(measure - report.measure))
-                            disagreement = max(deltas)
-                    row = SweepRow(s, r, initial=initial, lambda_t=lt, measure=measure,
-                                   n_max=n_max, tail_weight=tail, engine=config.engine,
-                                   disagreement=disagreement)
-                    yield row, rho4
+                        # worst distance over the X elements a, b, c, d, e_coh and the measure
+                        ours = np.stack((x.a, x.b, x.c, x.d, x.e_coh, closed), axis=1)
+                        x_part = dense[:, [0, 1, 2, 3, 0], [0, 1, 2, 3, 3]].real
+                        theirs = np.column_stack((x_part, measure))
+                        gaps = np.abs(ours - theirs).max(axis=1).tolist()
+                    measure = closed
+                yield [
+                    SweepRow(s, r, lt, initial, m, n_max, tail, config.engine, gap)
+                    for lt, m, gap in zip(lts.tolist(), measure.tolist(), gaps or [None] * len(lts))
+                ], dense
             field = None  # release this group's field before the next one is built
 
 
@@ -248,7 +251,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     between the two engines; the caller decides whether that is fatal
     (the CLI exits nonzero past DISAGREE_TOL).
     """
-    return [row for row, _ in _walk(config)]
+    return [row for rows, _ in _walk(config) for row in rows]
 
 
 def write_csv(rows: list[SweepRow], stream) -> None:
@@ -258,7 +261,8 @@ def write_csv(rows: list[SweepRow], stream) -> None:
 
 
 def worst_disagreement(rows: list[SweepRow]) -> float:
-    return max((r.disagreement for r in rows if r.disagreement is not None), default=0.0)
+    """Largest disagreement over the rows; NaN if any is NaN."""
+    return float(np.max([r.disagreement for r in rows if r.disagreement is not None], initial=0.0))
 
 
 def default_verify_config() -> SweepConfig:
@@ -277,40 +281,42 @@ def default_verify_config() -> SweepConfig:
 def verify(config: SweepConfig, stream=None) -> bool:
     """Hold the closed forms against the dense oracle, point by point.
 
-    Consumes the same walk as ``run_sweep(engine="both")`` and adds
-    state-invariant checks on the oracle's reduced state.  Prints one line
-    per grid point with the worst element-wise deviation; returns False
-    (and names the offending point) on any violation.
+    Consumes the same walk as ``run_sweep(engine="both")`` and checks the
+    oracle's reduced states one (s, r, initial) stack at a time: their
+    leak out of the X pattern, and the invariants of
+    ``DensityOperator.validate``, in its words.  Prints one line per grid
+    point with the worst element-wise deviation; returns False (and names
+    the offending point) on any violation.
     """
     stream = stream if stream is not None else sys.stdout
     failures = 0
     worst = 0.0
     count = 0
-    for row, rho4 in _walk(replace(config, engine="both")):
-        disagreement = row.disagreement
-        worst = max(worst, disagreement)
+    for rows, dense in _walk(replace(config, engine="both")):
+        # what an X state leaves at zero: five entries above the diagonal, the corner's imaginary part
+        leaks = np.column_stack((np.abs(dense[:, [0, 0, 1, 1, 2], [1, 2, 2, 3, 3]]),
+                                 np.abs(dense[:, 0, 3].imag)))
+        invalid = _violations(dense, rows[0].tail_weight, herm_tol=1e-10, psd_floor=PSD_FLOOR,
+                              trace_tol=1e-10)
+        for row, off_x, violation in zip(rows, leaks.max(axis=1).tolist(), invalid):
+            disagreement = row.disagreement
+            worst = np.maximum(worst, disagreement)  # a NaN sticks
 
-        problems = []
-        if disagreement >= DISAGREE_TOL:
-            problems.append(f"engines disagree by {disagreement:.3e}")
-        m = rho4.matrix
-        off_x = max(
-            abs(m[0, 1]), abs(m[0, 2]), abs(m[1, 2]), abs(m[1, 3]), abs(m[2, 3]), abs(m[0, 3].imag)
-        )
-        if off_x >= 1e-9:
-            problems.append(f"reduced state leaks outside the X pattern by {off_x:.3e}")
-        try:
-            rho4.validate(herm_tol=1e-10, trace_tol=1e-10)
-        except ValueError as err:
-            problems.append(str(err))
+            problems = []
+            if not disagreement < DISAGREE_TOL:
+                problems.append(f"engines disagree by {disagreement:.3e}")
+            if not off_x < 1e-9:
+                problems.append(f"reduced state leaks outside the X pattern by {off_x:.3e}")
+            if violation is not None:
+                problems.append(violation)
 
-        count += 1
-        tag = "ok" if not problems else "FAIL " + "; ".join(problems)
-        stream.write(
-            f"s={_fmt(row.s)} r={_fmt(row.r)} initial={row.initial} lambda_t={_fmt(row.lambda_t)} "
-            f"n_max={row.n_max} disagreement={disagreement:.3e} {tag}\n"
-        )
-        failures += bool(problems)
+            count += 1
+            tag = "ok" if not problems else "FAIL " + "; ".join(problems)
+            stream.write(
+                f"s={_fmt(row.s)} r={_fmt(row.r)} initial={row.initial} lambda_t={_fmt(row.lambda_t)} "
+                f"n_max={row.n_max} disagreement={disagreement:.3e} {tag}\n"
+            )
+            failures += bool(problems)
 
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} of {count} points)"
     stream.write(f"verification {verdict}: {count} points, worst disagreement {worst:.3e}\n")

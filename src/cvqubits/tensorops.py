@@ -133,28 +133,46 @@ class DensityOperator:
         ``psd_floor``, and real trace inside
         ``[1 - tail_weight - trace_tol, 1 + trace_tol]``.
         """
-        m = self.matrix
-        # one full-size copy, m^dagger; the deviation goes by blocks of about
-        # 2^16 entries, and the copy then becomes the Hermitian part in place
-        h = m.conj().T
-        step = max(1, 2**16 // len(m))
-        dev = float(np.max([np.max(np.abs(m[i : i + step] - h[i : i + step]))
-                            for i in range(0, len(m), step)]))
-        if not dev <= herm_tol:  # a NaN entry fails here too
-            raise ValueError(f"not Hermitian: max deviation {dev:.3e}")
-        tr = self.trace()
-        if abs(tr.imag) > trace_tol:
-            raise ValueError(f"trace has imaginary part {tr.imag:.3e}")
-        lo = 1.0 - self.tail_weight - trace_tol
-        if not (lo <= tr.real <= 1.0 + trace_tol):
-            raise ValueError(
-                f"trace {tr.real!r} outside [{lo!r}, {1.0 + trace_tol!r}]"
-            )
-        h += m
-        h *= 0.5
-        wmin = min(float(np.linalg.eigvalsh(h[np.ix_(b, b)])[0]) for b in _sectors(h))
-        if wmin < psd_floor:
-            raise ValueError(f"negative eigenvalue {wmin:.3e}")
+        problem = _violations(self.matrix[None], self.tail_weight, herm_tol, psd_floor, trace_tol)[0]
+        if problem is not None:
+            raise ValueError(problem)
+
+
+def _violations(stack, tail_weight, herm_tol, psd_floor, trace_tol) -> list[str | None]:
+    """Per matrix of a (T, d, d) stack, the first invariant of ``validate`` it breaks, or None.
+
+    Checked in the order Hermiticity, trace, smallest eigenvalue; the
+    eigenvalues come by the connected components of the nonzero pattern
+    that the matrices passing the first two checks share.
+    """
+    # one full-size copy, m^dagger; the deviation goes by blocks of about
+    # 2^16 entries, and the copy then becomes the Hermitian part in place
+    h = stack.conj().swapaxes(1, 2)
+    size, dim = stack.shape[:2]
+    step = max(1, 2**16 // (size * dim))
+    dev = np.max([np.abs(stack[:, i : i + step] - h[:, i : i + step]).max(axis=(1, 2))
+                  for i in range(0, dim, step)], axis=0)
+    tr = np.trace(stack, axis1=1, axis2=2)
+    lo, hi = 1.0 - tail_weight - trace_tol, 1.0 + trace_tol
+    passed = (dev <= herm_tol) & (np.abs(tr.imag) <= trace_tol) & (lo <= tr.real) & (tr.real <= hi)
+    h += stack
+    h *= 0.5
+    wmin = np.full(size, np.inf)
+    if passed.any():
+        sub = h if passed.all() else h[passed]  # no second copy of a lone large operator
+        blocks = _sectors(np.any(sub, axis=0))
+        wmin[passed] = np.min([np.linalg.eigvalsh(sub[:, b[:, None], b])[:, 0] for b in blocks], axis=0)
+
+    def first(d, t, w):
+        if not d <= herm_tol:  # a NaN entry fails here too
+            return f"not Hermitian: max deviation {d:.3e}"
+        if abs(t.imag) > trace_tol:
+            return f"trace has imaginary part {t.imag:.3e}"
+        if not lo <= t.real <= hi:
+            return f"trace {t.real!r} outside [{lo!r}, {hi!r}]"
+        return f"negative eigenvalue {w:.3e}" if w < psd_floor else None
+
+    return [first(d, t, w) for d, t, w in zip(dev.tolist(), tr.tolist(), wmin.tolist())]
 
 
 def kron(a, b):
@@ -213,30 +231,34 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
 def partial_transpose(rho: DensityOperator, factor: int) -> DensityOperator:
     """Transpose the indices of a single factor, leaving the rest alone."""
-    dims = rho.space.factor_dims
-    nf = len(dims)
-    if not 0 <= factor < nf:
-        raise IndexError(f"factor {factor} out of range for {nf} factors")
-    tens = rho.matrix.reshape(dims + dims)
-    perm = list(range(2 * nf))
-    perm[factor], perm[nf + factor] = perm[nf + factor], perm[factor]
-    out = tens.transpose(perm).reshape(rho.matrix.shape)
+    out = _transpose_factor(rho.matrix, rho.space.factor_dims, factor)
     return DensityOperator(rho.space, out, rho.tail_weight)
 
 
-def eig_hermitian(m) -> np.ndarray:
-    """Real ascending eigenvalues of a Hermitian matrix.
+def _transpose_factor(m: np.ndarray, dims: tuple[int, ...], factor: int) -> np.ndarray:
+    """Partial transpose of one factor, for each matrix of a stack (..., d, d) too."""
+    nf, lead = len(dims), m.ndim - 2
+    if not 0 <= factor < nf:
+        raise IndexError(f"factor {factor} out of range for {nf} factors")
+    perm = list(range(lead + 2 * nf))
+    perm[lead + factor], perm[lead + nf + factor] = lead + nf + factor, lead + factor
+    return m.reshape(m.shape[:-2] + dims + dims).transpose(perm).reshape(m.shape)
 
-    Raises ValueError when the input deviates from Hermiticity by more than
-    1e-10 in any element.
+
+def eig_hermitian(m) -> np.ndarray:
+    """Real ascending eigenvalues of a Hermitian matrix, or of each in a stack (..., n, n).
+
+    Raises ValueError when any input deviates from Hermiticity by more than
+    1e-10 in any element, or holds a NaN.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > 1e-10:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    adj = m.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(m - adj), initial=0.0))
+    if not dev <= 1e-10:  # a NaN entry fails here too
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    return np.linalg.eigvalsh((m + adj) / 2.0)
 
 
 def _component_labels(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
@@ -263,7 +285,7 @@ def _sectors(m: np.ndarray) -> list[np.ndarray]:
 
     The sets come sorted, and ordered by their smallest index.
     """
-    rows, cols = np.nonzero(m != 0)
+    rows, cols = np.nonzero(m)
     label = _component_labels(rows, cols, len(m))
     order = np.argsort(label, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)

@@ -20,7 +20,7 @@ from cvqubits.fieldprep import (
     squeezed_state,
 )
 from cvqubits.jcdynamics import AtomState, reduce_atoms_direct
-from cvqubits.sweep import preset_config
+from cvqubits.sweep import default_verify_config, preset_config
 
 
 def x_state(a, b, c, d, e):
@@ -243,8 +243,9 @@ SERIES_TOL = 4 * np.finfo(float).eps  # elements are <= 1
 def test_xstate_series_matches_pointwise_reference(s, r, initial, lambda_ts):
     n_max, tail = TruncationPolicy().resolve(SqueezeParam(s))
     series = xstate_series(s, r, lambda_ts, n_max, initial)
-    assert len(series) == len(lambda_ts)
-    for lt, x in zip(lambda_ts, series):
+    assert series.a.shape == series.lambda_t.shape == (len(lambda_ts),)
+    for i, lt in enumerate(lambda_ts):
+        x = series.point(i)
         ref = reference_xstate(s, r, lt, n_max, initial)
         for name in ("a", "b", "c", "d", "e_coh"):
             assert abs(getattr(x, name) - getattr(ref, name)) <= SERIES_TOL, (name, lt)
@@ -317,7 +318,7 @@ def test_xstate_series_matches_per_level_reference_on_presets(preset):
             for initial in config.initials:
                 got = xstate_series(s, r, lts, n_max, initial)
                 ref = reference_xstate_series(s, r, lts, n_max, initial)
-                for x, y in zip(got, ref, strict=True):
+                for x, y in zip(map(got.point, range(len(lts))), ref, strict=True):
                     for name in ("a", "b", "c", "d", "e_coh"):
                         assert abs(getattr(x, name) - getattr(y, name)) <= SERIES_TOL
                     assert (format(negativity_closed_form(x), ".12g")
@@ -328,7 +329,7 @@ def test_xstate_series_matches_per_level_reference_on_presets(preset):
 def test_xstate_single_point_is_the_one_element_series():
     for build, initial in ((xstate_gg, "gg"), (xstate_ee, "ee")):
         for s, r, lt, n_max in [(0.65, 0.25, 11.0, 20), (1.2, 0.7, 3.3, 63), (0.3, 0.0, 0.0, 9)]:
-            assert build(s, r, lt, n_max) == xstate_series(s, r, [lt], n_max, initial)[0]
+            assert build(s, r, lt, n_max) == xstate_series(s, r, [lt], n_max, initial).point(0)
 
 
 def test_xstate_series_rejects_bad_arguments():
@@ -336,7 +337,8 @@ def test_xstate_series_rejects_bad_arguments():
         xstate_series(0.65, 0.0, [[1.0, 2.0]], 10, "gg")
     with pytest.raises(ValueError):
         xstate_series(0.65, 0.0, [1.0], 10, "eg")
-    assert xstate_series(0.65, 0.0, [], 10, "gg") == []
+    empty = xstate_series(0.65, 0.0, [], 10, "gg")
+    assert empty.a.shape == empty.e_coh.shape == empty.lambda_t.shape == (0,)
 
 
 # ------------------------------------------------------------ closed measure
@@ -356,3 +358,47 @@ def test_measure_bell_state_is_maximal():
 def test_measure_clamps_separable_states():
     assert negativity_closed_form(x_state(0.25, 0.25, 0.25, 0.25, 0.0)) == 0.0
     assert negativity_closed_form(x_state(0.1, 0.4, 0.4, 0.1, 0.05)) == 0.0
+
+
+def scalar_measure(x):
+    """The closed form one point at a time, as first written with math.sqrt."""
+    raw = math.sqrt((x.b - x.c) ** 2 + 4.0 * x.e_coh**2) - x.b - x.c
+    return max(0.0, raw)
+
+
+@pytest.mark.parametrize("grid", ["fig2", "fig3", "verify"])
+def test_series_measure_equals_the_scalar_closed_form(grid):
+    # every point of the standard grids, bit for bit, and +0.0 wherever it is zero
+    config = default_verify_config() if grid == "verify" else preset_config(grid)
+    policy, lts = config.policy(), config.lt_values()
+    zeros = 0
+    for s in config.s_values:
+        n_max, _ = policy.resolve(SqueezeParam(s))
+        for r in config.r_values:
+            for initial in config.initials:
+                series = xstate_series(s, r, lts, n_max, initial)
+                got = negativity_closed_form(series).tolist()
+                for i, measure in enumerate(got):
+                    assert measure.hex() == scalar_measure(series.point(i)).hex(), (s, r, initial, i)
+                    zeros += measure == 0.0
+    assert zeros > 0  # the clamp was reached
+
+
+def test_measure_keeps_nan_and_signs_zero_positive():
+    assert math.isnan(negativity_closed_form(x_state(0.5, math.nan, math.nan, 0.5, 0.1)))
+    series = AtomXState(a=np.array([0.5, 0.5, 1.0]), b=np.array([0.0, math.nan, 0.0]),
+                        c=np.array([0.0, math.nan, 0.0]), d=np.array([0.5, 0.5, 0.0]),
+                        e_coh=np.array([0.5, 0.1, -0.0]), s=0.0, r=0.0,
+                        lambda_t=np.zeros(3), initial="gg", n_max=1)
+    got = negativity_closed_form(series)
+    assert got[0] == 1.0 and math.isnan(got[1]) and got[2] == 0.0
+    assert not np.signbit(got[2])
+
+
+def test_series_matrix_stacks_the_point_matrices():
+    series = xstate_series(0.65, 0.25, [0.0, 3.3, 11.0], 20, "ee")
+    stack = series.to_matrix()
+    assert stack.shape == (3, 4, 4)
+    for i in range(3):
+        assert np.array_equal(stack[i], series.point(i).to_matrix())
+    assert np.array_equal(series.trace(), np.real(np.trace(stack, axis1=1, axis2=2)))

@@ -13,10 +13,12 @@ from cvqubits.cli import main
 from cvqubits.entanglement import negativity_general
 from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
 from cvqubits.jcdynamics import SERIES_CHUNK, AtomState, reduce_atoms_direct, reduce_atoms_series
+from cvqubits.tensorops import DensityOperator, TruncatedFockSpace
 from cvqubits.sweep import (
     CSV_HEADER,
     ConfigError,
     SweepConfig,
+    DISAGREE_TOL,
     SweepRow,
     default_verify_config,
     preset_config,
@@ -64,7 +66,9 @@ def test_oracle_rows_equal_the_per_point_dense_route():
         for r in config.r_values:
             field = inject(psi, CouplingParam(r))
             for initial in config.initials:
-                for lt, x in zip(lts.tolist(), xstate_series(s, r, lts, n_max, initial)):
+                series = xstate_series(s, r, lts, n_max, initial)
+                for i, lt in enumerate(lts.tolist()):
+                    x = series.point(i)
                     rho4 = reduce_atoms_direct(AtomState(initial), field, lt)
                     measure = negativity_general(rho4).measure
                     m = rho4.matrix
@@ -173,6 +177,24 @@ def test_analytic_memory_estimate_covers_measured_peak(n_max, lt_steps):
         tracemalloc.stop()
     estimate = sweep_mod._peak_bytes(n_max, lt_steps, "analytic")
     assert peak <= estimate <= 2 * peak
+
+
+@pytest.mark.parametrize("engine", ["analytic", "oracle", "both"])
+def test_walk_memory_estimate_covers_measured_peak(engine):
+    # one (s, r, initial) series of 1000 times through the whole walk: the
+    # engines' series, the dense measure and the disagreement
+    config = SweepConfig(s_values=[0.3], r_values=[0.25], lt_stop=15.0, lt_steps=1000,
+                         initials=("ee",), engine=engine)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in sweep_mod._walk(config):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n_max, _ = config.policy().resolve(SqueezeParam(0.3))
+    assert peak <= sweep_mod._peak_bytes(n_max, config.lt_steps, engine)
 
 
 def test_standard_grids_fit_the_memory_budget():
@@ -284,6 +306,47 @@ def test_cli_strong_squeezing_needs_an_explicit_cutoff(capsys):
     assert capsys.readouterr().out.splitlines()[1].split(",")[5] == "6"
 
 
+@pytest.mark.parametrize("flags,knob", [
+    (["--s", "0.5", "--lt-start", "1e308", "--lt-stop", "1e308"], "--lt-stop"),
+    (["--s", "0.5", "--lt-start", "1e308", "--lt-stop", "1e308", "--engine", "both"], "--lt-stop"),
+    (["--s", "0.5", "--lt-stop", "1e308", "--lt-steps", "3", "--engine", "oracle"], "--lt-stop"),
+    (["--s", "400", "--n-max", "5"], "--s"),
+    (["--s", "0.3,800", "--n-max", "5"], "--s"),
+])
+def test_cli_rejects_overflowing_inputs(flags, knob, capsys):
+    # a finite lambda_t whose Rabi angle overflows printed measure 0; an s
+    # whose cosh^2 overflows ended in a traceback
+    assert main(["sweep", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cvqubits: error:") and knob in captured.err
+
+
+def test_squeezing_limit_is_where_cosh_squared_overflows():
+    for s in (355.5, 356.0, 400.0, 800.0):
+        try:
+            math.cosh(s) ** 2
+            overflows = False
+        except OverflowError:
+            overflows = True
+        config = SweepConfig(s_values=[s], n_max=5, engine="both")
+        if overflows:
+            with pytest.raises(ConfigError, match="--s"):
+                config.validate()
+        else:
+            assert run_sweep(config)[0].disagreement < DISAGREE_TOL
+
+
+def test_lt_stop_limit_is_the_largest_rabi_angle():
+    # at n_max 5 the padded dense transit reaches level n_max + 3 = 8
+    near_max = 1.7e308
+    config = SweepConfig(s_values=[0.3], n_max=5, lt_start=1.0, lt_stop=near_max / math.sqrt(8),
+                         lt_steps=3, engine="both")
+    assert all(row.disagreement < DISAGREE_TOL for row in run_sweep(config))
+    with pytest.raises(ConfigError, match="--lt-stop"):
+        replace(config, lt_stop=near_max / math.sqrt(7)).validate()
+
+
 def test_cli_rejects_a_run_over_the_memory_budget(capsys):
     assert main(["sweep", "--s", "2", "--engine", "both"]) == 1
     captured = capsys.readouterr()
@@ -350,7 +413,8 @@ def test_cli_verify_catches_corrupted_engine(capsys, monkeypatch):
     real = sweep_mod.xstate_series
 
     def skewed(*args, **kwargs):
-        return [replace(x, e_coh=x.e_coh + 1e-5) for x in real(*args, **kwargs)]
+        x = real(*args, **kwargs)
+        return replace(x, e_coh=x.e_coh + 1e-5)
 
     monkeypatch.setattr(sweep_mod, "xstate_series", skewed)
     assert main(["verify", *SMALL, "--initial", "gg"]) == 3
@@ -381,3 +445,66 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == CSV_HEADER
+
+
+def spoil_hermiticity(m):
+    m[1, 2] += 1e-6
+
+
+def spoil_trace(m):
+    m *= 1.01
+
+
+def spoil_positivity(m):
+    m[2, 2] += m[1, 1] + 0.01
+    m[1, 1] = -0.01
+
+
+@pytest.mark.parametrize("spoil", [spoil_hermiticity, spoil_trace, spoil_positivity])
+def test_cli_verify_names_the_one_spoiled_point(spoil, capsys, monkeypatch):
+    # spoil one time of the first dense stack; only that point may fail, in
+    # DensityOperator.validate's words
+    real = sweep_mod.reduce_atoms_series
+    expected = []
+
+    def spoiled(atoms, field, lts):
+        stack = real(atoms, field, lts)
+        if not expected:
+            spoil(stack[1])
+            try:
+                DensityOperator(TruncatedFockSpace((2, 2)), stack[1], field.tail_weight).validate(
+                    herm_tol=1e-10, trace_tol=1e-10)
+            except ValueError as err:
+                expected.append(str(err))
+        return stack
+
+    monkeypatch.setattr(sweep_mod, "reduce_atoms_series", spoiled)
+    assert main(["verify", *SMALL, "--initial", "gg"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(expected) == 1
+    failing = [line for line in lines[:-1] if "FAIL" in line]
+    assert len(failing) == 1
+    assert failing[0].startswith("s=0.3 r=0 initial=gg lambda_t=2 ")
+    assert expected[0] in failing[0]
+    assert lines[-1].startswith("verification FAIL (1 of 4 points)")
+    if spoil is spoil_hermiticity:  # no measure, so no disagreement: the summary must not hide it
+        assert lines[-1].endswith("worst disagreement nan")
+
+
+def test_oracle_measure_keeps_nan_and_signs_zero_positive(monkeypatch, capsys):
+    config = SweepConfig(s_values=[0.0], lt_stop=1.0, lt_steps=3, engine="oracle")
+    assert main(["sweep", "--s", "0", "--lt-stop", "1", "--lt-steps", "3", "--engine", "both"]) == 0
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        assert line.split(",")[4] == "0"
+    assert all(math.copysign(1.0, row.measure) == 1.0 for row in run_sweep(config))
+
+    real = sweep_mod.reduce_atoms_series
+
+    def poisoned(atoms, field, lts):
+        stack = real(atoms, field, lts)
+        stack[1, 3, 3] = np.nan
+        return stack
+
+    monkeypatch.setattr(sweep_mod, "reduce_atoms_series", poisoned)
+    measures = [row.measure for row in run_sweep(config)]
+    assert measures[0] == measures[2] == 0.0 and math.isnan(measures[1])

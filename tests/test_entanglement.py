@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,55 @@ def test_mixing_bell_with_noise_decreases_measure():
     # below p = 1/3 the mixture is separable
     m = 0.2 * bell().matrix + 0.8 * noise
     assert negativity_general(DensityOperator(TWO_QUBITS, m)).measure == 0.0
+
+
+def old_measure(m):
+    """The measure of one 4x4 state as first written: a sum over the negative eigenvalues."""
+    spectrum = np.linalg.eigvalsh(partial_transpose(DensityOperator(TWO_QUBITS, m), 1).matrix)
+    return max(0.0, -2.0 * float(spectrum[spectrum < 0.0].sum()))
+
+
+def test_stack_equals_per_matrix_calls_bit_for_bit():
+    # random mixed and separable states, a Bell state, and the oracle's own
+    # stacks on the standard verify grid's largest cutoff
+    from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
+    from cvqubits.jcdynamics import AtomState, reduce_atoms_series
+
+    states = [bell().matrix, np.eye(4, dtype=complex) / 4.0]
+    for _ in range(6):
+        a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+        m = a @ a.conj().T
+        states.append(m / np.trace(m))
+        states.append(kron(qubit_density(), qubit_density()).matrix)
+    psi = squeezed_state(SqueezeParam(1.0), TruncationPolicy())
+    for r in (0.0, 0.7):
+        field = inject(psi, CouplingParam(r))
+        for initial in ("gg", "ee"):
+            states.extend(reduce_atoms_series(AtomState(initial), field, np.linspace(0.0, 15.0, 16)))
+    got = negativity_general(np.stack(states))
+    assert got.measure.shape == got.min_eigenvalue.shape == got.is_entangled.shape == (len(states),)
+    for i, m in enumerate(states):
+        one = negativity_general(m)
+        assert got.pt_eigenvalues[i].tobytes() == one.pt_eigenvalues.tobytes()
+        assert float(got.measure[i]).hex() == one.measure.hex() == old_measure(m).hex()
+        assert got.min_eigenvalue[i] == one.min_eigenvalue
+        assert got.is_entangled[i] == one.is_entangled
+
+
+def test_zero_measure_is_positive_zero():
+    # a spectrum without negative eigenvalues gives -2 * 0.0; the report holds +0.0
+    separable = np.eye(4, dtype=complex) / 4.0
+    assert math.copysign(1.0, negativity_general(separable).measure) == 1.0
+    stack = negativity_general(np.stack([separable, bell().matrix, separable]))
+    assert stack.measure[0] == stack.measure[2] == 0.0
+    assert not np.signbit(stack.measure).any()
+
+
+def test_rejects_a_nan_state():
+    # LAPACK returns finite eigenvalues for a NaN matrix, which would read as measure 0
+    m = np.eye(4, dtype=complex) / 4.0
+    m[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity_general(m)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity_general(np.stack([bell().matrix, m]))

@@ -398,3 +398,13 @@ def test_validate_holds_one_extra_copy():
     m[1023, 1000] += 1e-9  # a deviation seen only from the last rows
     with pytest.raises(ValueError, match="Hermitian"):
         DensityOperator(TruncatedFockSpace((1024,)), m).validate()
+
+
+def test_eig_hermitian_takes_a_stack_and_rejects_nan():
+    stack = np.stack([random_hermitian(3) for _ in range(4)])
+    got = eig_hermitian(stack)
+    for h, w in zip(stack, got):
+        assert w.tobytes() == eig_hermitian(h).tobytes()
+    stack[2, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        eig_hermitian(stack)
