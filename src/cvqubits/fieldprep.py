@@ -7,13 +7,15 @@ that field directly from its photon-number expansion, while
 :func:`inject_oracle` exponentiates the beam-splitter generator on the
 photon-number blocks the input reaches and traces the reflected ports out
 block by block -- the two must agree element-wise, which is this module's
-core self-check.
+core self-check.  Both return the field as its disjoint diagonal blocks
+(:class:`CavityFieldState`), never as a dense (n_max + 1)^2-square matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -131,16 +133,93 @@ class TruncationPolicy:
         return n, th ** (2 * (n + 1))
 
 
+class _Blocks(tuple):
+    """(indices, matrix) pairs whose matrices lie back to back in one buffer, ``flat``."""
+
+    def __new__(cls, pairs=(), flat: np.ndarray | None = None):
+        self = super().__new__(cls, pairs)
+        self.flat = flat  # copies and pickles restore it from the instance dict
+        return self
+
+
+def _square_views(sizes, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat buffer and a square view of it per size, back to back."""
+    ends = np.cumsum(np.square(sizes, dtype=np.intp))
+    flat = np.empty(int(ends[-1]) if len(ends) else 0, dtype)
+    return flat, [flat[e - k * k : e].reshape(k, k) for k, e in zip(sizes, ends.tolist())]
+
+
 @dataclass(frozen=True)
 class CavityFieldState:
-    """Joint two-cavity field plus the parameters that generated it."""
+    """Joint two-cavity field plus the parameters that generated it.
 
-    rho: DensityOperator
+    The field is held as disjoint diagonal blocks: pairs of (flat indices
+    nA * (n_max + 1) + nB, square matrix over those indices), every matrix
+    a view into one flat buffer.  Entries that no single block holds are
+    zero.  Photons leak out of each cavity separately, so an injected
+    twin-photon field never couples two values of nA - nB, and its blocks
+    are those sectors: about (n_max + 1)^3 / 1.5 numbers instead of
+    (n_max + 1)^4.  ``rho`` is the dense view, built on first access, for
+    the routes that need the whole matrix (:func:`~cvqubits.jcdynamics.evolve`).
+    """
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     s: SqueezeParam
     coupling: CouplingParam
     policy: TruncationPolicy
     n_max: int
     tail_weight: float
+
+    def __post_init__(self) -> None:
+        dim2 = (self.n_max + 1) ** 2
+        indices = [np.asarray(idx, dtype=np.intp).reshape(-1) for idx, _ in self.blocks]
+        sizes = [idx.size for idx in indices]
+        if any(np.shape(m) != (k, k) for k, (_, m) in zip(sizes, self.blocks)):
+            raise ValueError("each block needs a square matrix over its indices")
+        if isinstance(self.blocks, _Blocks):
+            flat = self.blocks.flat
+        else:  # pack the matrices into one buffer
+            matrices = [np.asarray(m) for _, m in self.blocks]
+            flat, views = _square_views(sizes, np.result_type(float, *matrices))
+            for view, m in zip(views, matrices):
+                view[...] = m
+            object.__setattr__(self, "blocks", _Blocks(zip(indices, views), flat))
+
+        # where each flat index sits: its block, its place in that block, and
+        # where its row starts in the buffer
+        every = np.concatenate(indices) if indices else np.zeros(0, dtype=np.intp)
+        if every.size and (every.min() < 0 or every.max() >= dim2 or np.bincount(every).max() > 1):
+            raise ValueError(f"block indices must be distinct and lie in [0, {dim2})")
+        sizes = np.array(sizes, dtype=np.intp)
+        place = np.arange(every.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        label = np.full(dim2, -1, dtype=np.intp)
+        label[every] = np.repeat(np.arange(sizes.size), sizes)
+        pos = np.zeros(dim2, dtype=np.intp)
+        pos[every] = place
+        row_start = np.zeros(dim2, dtype=np.intp)
+        row_start[every] = np.repeat(np.cumsum(sizes**2) - sizes**2, sizes) + place * np.repeat(sizes, sizes)
+        object.__setattr__(self, "_gather", (flat, label, pos, row_start))
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The field's entries at (rows, cols), read from the blocks in one gather.
+
+        ``rows`` and ``cols`` are flat-index arrays of one shape; entries in
+        no common block are 0.  The result has the blocks' dtype.
+        """
+        flat, label, pos, row_start = self._gather
+        inside = (label[rows] == label[cols]) & (label[rows] >= 0)
+        out = np.zeros(np.shape(rows), dtype=flat.dtype)
+        out[inside] = flat[row_start[rows[inside]] + pos[cols[inside]]]
+        return out
+
+    @cached_property
+    def rho(self) -> DensityOperator:
+        """The dense field, (n_max + 1)^2 square, built from the blocks on first access."""
+        dim = self.n_max + 1
+        m = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for idx, block in self.blocks:
+            m[np.ix_(idx, idx)] = block
+        return DensityOperator(TruncatedFockSpace((dim, dim)), m, self.tail_weight)
 
 
 def _as_squeeze(s) -> SqueezeParam:
@@ -298,33 +377,43 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
     delta = nA - nB = l - k.  Per sector the branches form a (k x nA) block
     B[k, nA] = d[n] * row[n][k] * row[n][k + delta] with n = nA + k, read
     from the rung-ordered :func:`binom_ladder` as d[n] * L[n, nA] * L[n, nB];
-    the field's (nA, nA - delta) rows and columns are B^T B; nothing couples
-    two sectors.  ``s``/``policy`` default to values recovered from ``psi``.
+    the field's block over the sector's (nA, nA - delta) is the real B^T B,
+    and nothing couples two sectors.  Only real amplitudes on the twin
+    levels |n, n> enter, so any other input is refused: :func:`inject_oracle`
+    takes it.  ``s``/``policy`` default to values recovered from ``psi``.
     """
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
+    amps = psi.amplitudes.reshape(dim, dim)
+    twins = amps.diagonal()
+    if np.count_nonzero(amps) != np.count_nonzero(twins) or np.any(twins.imag != 0.0):
+        raise ValueError(
+            "inject reads only real amplitudes on the twin levels |n, n>, and this input has "
+            "others; use inject_oracle, which takes any two-mode input"
+        )
     s = _as_squeeze(s) if s is not None else _infer_squeeze(psi)
     n_max = dim - 1
     # levels zero-padded to twice the size, so n = nA + k needs no
     # clipping: every level past the cutoff carries a zero amplitude
     d = np.zeros(2 * dim)
-    d[:dim] = psi.amplitudes.reshape(dim, dim).diagonal().real
+    d[:dim] = twins.real
     ladder = np.zeros((2 * dim, dim))
     ladder[:dim] = binom_ladder(n_max, coupling)
     amp = d[:, None] * ladder  # amp[n, j] = d[n] * row[n][n - j]
 
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for delta in range(-n_max, dim):
+    deltas = range(-n_max, dim)
+    flat, views = _square_views([dim - abs(delta) for delta in deltas], float)
+    indices = []
+    for delta, view in zip(deltas, views):
         na = np.arange(max(0, delta), dim + min(0, delta))  # nB = nA - delta stays in range
         k = np.arange(max(0, -delta), dim - na[0])[:, None]  # l = k + delta >= 0
         n = na + k
         block = amp[n, na] * ladder[n, na - delta]
-        idx = na * (dim + 1) - delta  # flat index of |nA, nA - delta>
-        m[np.ix_(idx, idx)] = block.T @ block
+        np.matmul(block.T, block, out=view)
+        indices.append(na * (dim + 1) - delta)  # flat index of |nA, nA - delta>
 
-    field = DensityOperator(psi.space, m, psi.tail_weight)
-    policy = policy if policy is not None else TruncationPolicy(n_max=dim - 1)
-    return CavityFieldState(field, s, coupling, policy, n_max, psi.tail_weight)
+    policy = policy if policy is not None else TruncationPolicy(n_max=n_max)
+    return CavityFieldState(_Blocks(zip(indices, views), flat), s, coupling, policy, n_max, psi.tail_weight)
 
 
 def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldState:
@@ -340,7 +429,8 @@ def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityF
     (externals x cavities) amplitude matrix is formed from those columns as
     a list of its nonzero entries.  Columns linked through shared nonzero
     rows form one block, and the externals are traced out with one Gram
-    product per block, so an input that correlates any levels stays exact.
+    product per block, which is the field's block over those cavity pairs,
+    so an input that correlates any levels stays exact.
     Shares no code path with :func:`inject` beyond the exponential itself.
     """
     coupling = _as_coupling(coupling)
@@ -373,14 +463,17 @@ def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityF
     # cavity pairs are nodes 0..dim^2 - 1, external pairs the dim^2 after them
     label = _component_labels(cols, rows + dim * dim, 2 * dim * dim)[cols]
     order = np.argsort(label, kind="stable")
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
+    cavs, parts = [], []
     for entries in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
         ext, ri = np.unique(rows[entries], return_inverse=True)
         cav, ci = np.unique(cols[entries], return_inverse=True)
-        sub = np.zeros((ext.size, cav.size), dtype=complex)
+        cavs.append(cav)
+        parts.append((entries, ext.size, ri, ci))
+    flat, views = _square_views([cav.size for cav in cavs], complex)
+    for (entries, n_ext, ri, ci), view in zip(parts, views):
+        sub = np.zeros((n_ext, len(view)), dtype=complex)
         sub[ri, ci] = vals[entries]
-        m[np.ix_(cav, cav)] = sub.T @ sub.conj()
+        np.matmul(sub.T, sub.conj(), out=view)
 
-    field = DensityOperator(psi.space, m, psi.tail_weight)
     policy = policy if policy is not None else TruncationPolicy(n_max=n_max)
-    return CavityFieldState(field, s, coupling, policy, n_max, psi.tail_weight)
+    return CavityFieldState(_Blocks(zip(cavs, views), flat), s, coupling, policy, n_max, psi.tail_weight)

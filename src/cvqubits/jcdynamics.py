@@ -11,11 +11,12 @@ This module is the slow, assumption-free reference path: `evolve` +
 algebra without the composite -- for a whole vector of times.  Because the
 transit conserves excitation, each cavity's field-traced propagator lives
 on a few diagonals of the field's photon indices.  The series builds the
-unitaries of a chunk of times at once, takes each propagator for the chunk
-with one batched product, reads its diagonals from the exact zeros, and
-gathers each matching field slice once per call; a time then costs
-O(field_dim^2), and the chunk bounds the working memory however many times
-there are.  `reduce_atoms_direct` is its one-time case.
+unitaries of a chunk of times at once, reads their diagonals from the
+exact zeros, forms each propagator diagonal as elementwise products of
+them, and gathers each matching field slice from the field's blocks once
+per call; a time then costs O(field_dim^2), and the chunk bounds the
+working memory however many times there are.  `reduce_atoms_direct` is its
+one-time case.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ def _swap_middle_factors(m: np.ndarray, dims: tuple[int, int, int, int]) -> np.n
 def evolve(atoms: AtomState, field: CavityFieldState, params, method: str = "closed_form") -> EvolvedState:
     """Full composite evolution; factors ordered (atom A, atom B, field A, field B).
 
-    Dense and explicit: memory grows like field_dim**4, fine at moderate
-    cutoffs.  The pair unitary acts on each (atom, cavity) factor in turn, never
+    Dense and explicit: it reads the field's dense view ``field.rho``, and
+    memory grows like field_dim**4, fine at moderate cutoffs.  The pair unitary acts on each (atom, cavity) factor in turn, never
     as kron(u, u).  For the reduced atom state at large cutoffs use
     :func:`reduce_atoms_direct` instead.
     """
@@ -201,9 +202,7 @@ def evolve(atoms: AtomState, field: CavityFieldState, params, method: str = "clo
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    fdim = field.rho.space.factor_dims[0]
-    if field.rho.space.factor_dims != (fdim, fdim):
-        raise ValueError(f"field must have two equal factors, got {field.rho.space.factor_dims}")
+    fdim = field.n_max + 1
     big = fdim + EVOLVE_PAD
     padded = np.zeros((big, big, big, big), dtype=complex)
     padded[:fdim, :fdim, :fdim, :fdim] = field.rho.matrix.reshape(fdim, fdim, fdim, fdim)
@@ -234,21 +233,43 @@ def _pair_band(u4: np.ndarray, col: int, col_dag: int, field_dim: int) -> dict[i
     ``u4`` holds T transit unitaries as (T, atom out, field out, atom in,
     field in).  The propagator is C[t, i, n, j, m] = sum_p u[t, i, p, col, n]
     * conj(u[t, j, p, col_dag, m]) over field inputs n, m below
-    ``field_dim``, one batched matrix product for all times.  Returns, for
-    each diagonal d = n - m that its exact nonzero pattern populates at any
-    time, the (T, 4, field_dim - |d|) array of C[t, i, n, j, n - d] over
+    ``field_dim``.  Each output-atom row i of a column holds u on a few
+    diagonals p - n, read from its exact nonzero pattern at any time.  A
+    ket diagonal s1 and a bra diagonal s2 meet only at n - m = s2 - s1,
+    where the sum over p is the one product u[t, i, n + s1, col, n] *
+    conj(u[t, j, m + s2, col_dag, m]), so each diagonal of C is a sum of
+    elementwise products of the unitaries' diagonals.  Returns, for each
+    diagonal d = n - m that this pairing populates, the (T, 4,
+    field_dim - |d|) array of C[t, i, n, j, n - d] over
     n = max(0, d) .. field_dim + min(0, d) - 1, with (i, j) flattened.
     """
     times, big = u4.shape[0], u4.shape[2]
-    ket = u4[:, :, :, col, :field_dim].transpose(0, 1, 3, 2).reshape(times, 2 * field_dim, big)
-    bra = np.empty((times, big, 2, field_dim), dtype=complex)
-    np.conjugate(u4[:, :, :, col_dag, :field_dim].transpose(0, 2, 1, 3), out=bra)
-    c = np.matmul(ket, bra.reshape(times, big, 2 * field_dim)).reshape(times, 2, field_dim, 2, field_dim)
-    n, m = np.nonzero(np.any(c != 0, axis=(0, 1, 3)))
-    return {
-        int(d): np.diagonal(c, offset=-d, axis1=2, axis2=4).reshape(times, 4, -1)
-        for d in np.unique(n - m)
-    }
+    n = np.arange(field_dim)
+
+    def diagonals(c: int, i: int) -> dict[int, np.ndarray]:
+        # s -> (T, field_dim) array of u[t, i, n + s, c, n], 0 where n + s leaves the field
+        rows = u4[:, i, :, c, :field_dim]
+        p, m = np.nonzero(np.any(rows != 0, axis=0))
+        out = {}
+        for s in np.unique(p - m).tolist():
+            inside = (n + s >= 0) & (n + s < big)
+            out[s] = np.zeros((times, field_dim), dtype=complex)
+            out[s][:, inside] = rows[:, n[inside] + s, n[inside]]
+        return out
+
+    kets = [diagonals(col, i) for i in range(2)]
+    bras = [diagonals(col_dag, j) for j in range(2)]
+    band: dict[int, np.ndarray] = {}
+    for i in range(2):
+        for j in range(2):
+            for s1, ket in kets[i].items():
+                for s2, bra in bras[j].items():
+                    d = s2 - s1
+                    lo, hi = max(0, d), field_dim + min(0, d)
+                    if d not in band:
+                        band[d] = np.zeros((times, 4, hi - lo), dtype=complex)
+                    band[d][:, 2 * i + j] += ket[:, lo:hi] * bra[:, lo - d : hi - d].conj()
+    return band
 
 
 def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.ndarray:
@@ -262,19 +283,19 @@ def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.nd
     field; a diagonal populated at any time is kept at every time, where it
     may hold exact zeros (at lambda_t = 0, say).  Each pair of diagonals
     (dA, dB) then meets only the field_dim x field_dim slice
-    rho[(nA, nB), (nA - dA, nB - dB)], read straight from the field matrix
-    once per call, so no copy of the field is made.  Any field is handled,
-    whether or not it conserves nA - nB.
+    rho[(nA, nB), (nA - dA, nB - dB)], gathered from the field's blocks once
+    per call; the dense ``field.rho`` is never read.  A slice that holds
+    only zeros is skipped, as every dA != dB is for an injected twin-photon
+    field.  Any field is handled, whether or not it conserves nA - nB.
 
-    The times go SERIES_CHUNK at a time: the unitaries and propagators of
-    one chunk are built with batched products and freed before the next,
+    The times go SERIES_CHUNK at a time: the unitaries and propagator
+    diagonals of one chunk are built as arrays and freed before the next,
     so the working memory does not grow with the number of times.  Rows
     are in the basis (|e,e>, |e,g>, |g,e>, |g,g>).
     """
     times = _times(lts)
-    fdim = field.rho.space.factor_dims[0]
+    fdim = field.n_max + 1
     big = fdim + EVOLVE_PAD
-    rho = field.rho.matrix
 
     chi = atoms.vector.reshape(2, 2)
     occupied = [(int(ia), int(ib)) for ia in range(2) for ib in range(2) if chi[ia, ib] != 0.0]
@@ -282,13 +303,15 @@ def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.nd
     cols = sorted({(ket[side], bra[side]) for ket, bra in pairs for side in (0, 1)})
     slices: dict[tuple[int, int], np.ndarray] = {}
 
-    def field_slice(d_a: int, d_b: int) -> np.ndarray:
-        # S[nA, nB] = rho[(nA, nB), (nA - dA, nB - dB)] over the in-range nA, nB
+    def field_slice(d_a: int, d_b: int) -> np.ndarray | None:
+        # S[nA, nB] = rho[(nA, nB), (nA - dA, nB - dB)] over the in-range nA, nB;
+        # None where it holds only zeros (no block of the field reaches it, say)
         if (d_a, d_b) not in slices:
             na = np.arange(max(0, d_a), fdim + min(0, d_a))
             nb = np.arange(max(0, d_b), fdim + min(0, d_b))
             rows = na[:, None] * fdim + nb
-            slices[d_a, d_b] = rho[rows, rows - (d_a * fdim + d_b)]
+            got = field.entries(rows, rows - (d_a * fdim + d_b))
+            slices[d_a, d_b] = got if got.any() else None
         return slices[d_a, d_b]
 
     stack = np.empty((len(times), 4, 4), dtype=complex)
@@ -304,7 +327,10 @@ def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.nd
             weight = chi[ket_a, ket_b] * np.conj(chi[bra_a, bra_b])
             for d_a, va in bands[ket_a, bra_a].items():
                 for d_b, vb in bands[ket_b, bra_b].items():
-                    left = va.reshape(-1, va.shape[2]) @ field_slice(d_a, d_b)
+                    part = field_slice(d_a, d_b)
+                    if part is None:
+                        continue
+                    left = va.reshape(-1, va.shape[2]) @ part
                     block = left.reshape(len(chunk), 4, -1) @ vb.transpose(0, 2, 1)
                     out += weight * block.reshape(-1, 2, 2, 2, 2)
         # regroup (i,j,k,l) -> rows (i,k), cols (j,l)

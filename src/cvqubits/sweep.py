@@ -142,17 +142,20 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
     returned arrays (tracemalloc: 56 B at n_max 1); and up to 256 KiB of
     numpy buffers (tracemalloc: 1.74 MB at n_max 314 with one time, 9.5 MB
     at n_max 63 with 2000).
-    The oracle holds the injected complex field, 16 (n+1)^4 B.  Next to
-    it, inject's per-sector blocks and the up to 25 field slices that
-    reduce_atoms_series gathers take under 512 B per (n+1)^2.  The series
-    walks the times SERIES_CHUNK at a time; per time of a chunk it holds
-    the unitary, the two reordered halves of it that one band's product
-    takes, the propagator and the diagonals, under 256 B per (n+3)^2.  It
-    returns a 256 B state per time (tracemalloc at n_max 42, field aside:
-    3.4 MB for 64 times and 3.7 MB for 1024 from |g,g>; 4.3 and 4.5 MB from
-    a superposition of all four atom states, which needs every slice);
-    measuring it takes up to five more of its size, 1536 B per time in all
-    (tracemalloc over the walk: 1424 B per time at n_max 13).
+    The oracle holds the injected field as its real nA - nB sector blocks,
+    8 ((n+1)^2 + n(n+1)(2n+1)/3) B in one buffer (0.42 MB at n_max 42;
+    a dense complex field would take 16 (n+1)^4 B, 55 MB).  Next to it,
+    the blocks' indices and the field's gather tables, inject's ladders
+    and the field slices that reduce_atoms_series gathers (it keeps only
+    the nonzero ones) take under 128 B per (n+1)^2.  The series walks the
+    times SERIES_CHUNK at a time; per time of a chunk it holds the dense
+    transit unitary, 64 B per (n+3)^2, and the diagonals read off it,
+    under 80 B per (n+3)^2 in all (tracemalloc, field aside: 6.36 MB for a
+    chunk of 8 at n_max 106, 21.6 MB at n_max 200).  It returns a 256 B
+    state per time; measuring it takes up to five more of its size, 1536 B
+    per time in all (tracemalloc over the walk: 1424 B per time at n_max
+    13).  Up to 64 KiB of small arrays and buffers come on top (a
+    one-time series takes 10.7 kB at n_max 4).
     """
     need = 0
     if engine in ("analytic", "both"):
@@ -160,8 +163,8 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
         need += 16 * rungs**2 + (72 * rungs + 64) * lt_steps + 2**18
     if engine in ("oracle", "both"):
         chunk = min(lt_steps, SERIES_CHUNK)
-        need += 16 * (n_max + 1) ** 4 + 512 * (n_max + 1) ** 2 + 256 * chunk * (n_max + 3) ** 2
-        need += 1536 * lt_steps
+        need += 8 * ((n_max + 1) ** 2 + n_max * (n_max + 1) * (2 * n_max + 1) // 3)
+        need += 128 * (n_max + 1) ** 2 + 80 * chunk * (n_max + 3) ** 2 + 1536 * lt_steps + 2**16
     return need
 
 

@@ -115,7 +115,7 @@ def test_sweep_config_validation_errors():
     with pytest.raises(ConfigError, match="--n-max"):
         SweepConfig(s_values=[0.3, 20.0]).validate()
     for over_budget in (
-        SweepConfig(s_values=[2.0], engine="both"),  # field at n_max 314, ~150 GiB
+        SweepConfig(s_values=[3.0], engine="both"),  # field blocks at n_max 2320, ~63 GiB
         SweepConfig(s_values=[5.0]),  # ladder at n_max 126 794, ~240 GiB
         SweepConfig(s_values=[0.3], lt_steps=10**8),  # series arrays, ~110 GiB
         SweepConfig(s_values=[0.5], n_max=20000),  # ladder, ~6 GiB
@@ -124,7 +124,7 @@ def test_sweep_config_validation_errors():
             over_budget.validate()
 
 
-@pytest.mark.parametrize("n_max", [20, 42])
+@pytest.mark.parametrize("n_max", [20, 42, 106])
 def test_oracle_memory_estimate_covers_measured_peak(n_max):
     # inject, then reduce_atoms_direct with the field alive, as one (s, r)
     # group of the walk holds them
@@ -200,6 +200,31 @@ def test_walk_memory_estimate_covers_measured_peak(engine):
 def test_standard_grids_fit_the_memory_budget():
     for config in (preset_config("fig2"), preset_config("fig3"), default_verify_config()):
         config.validate()
+
+
+def test_both_engines_at_fig2_top_squeezing_fit_the_memory_budget():
+    # s = 2 needs n_max 314: the field's sector blocks take 167 MB, where a
+    # dense field took 16 (n+1)^4 B, 147 GiB; the estimate is held against
+    # tracemalloc at n_max 106 above
+    config = SweepConfig(s_values=[2.0], engine="both")
+    assert config.policy().resolve(SqueezeParam(2.0))[0] == 314
+    config.validate()
+
+
+def test_verify_group_holds_no_dense_field():
+    # one s = 1 group of the default verify grid, both initials, at n_max 42:
+    # a dense field alone would take 16 (n+1)^4 B, 55 MB
+    config = replace(default_verify_config(), s_values=[1.0], r_values=[0.25])
+    assert config.policy().resolve(SqueezeParam(1.0))[0] == 42
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows = [row for group, _ in sweep_mod._walk(config) for row in group]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2 * config.lt_steps
+    assert peak < 5 * 2**20
 
 
 def test_row_formatting_uses_twelve_significant_digits():
@@ -348,7 +373,7 @@ def test_lt_stop_limit_is_the_largest_rabi_angle():
 
 
 def test_cli_rejects_a_run_over_the_memory_budget(capsys):
-    assert main(["sweep", "--s", "2", "--engine", "both"]) == 1
+    assert main(["sweep", "--s", "3", "--engine", "both"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "estimated peak memory" in captured.err

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,10 +226,17 @@ def test_inject_oracle_matches_full_product_reference(source, r):
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
-def random_pair_state(seed, dim=5):
-    """A random two-mode input: it correlates every level with every other."""
+def random_pair_state(seed, dim=5, sparsity=0.0):
+    """A random two-mode input: it correlates every level with every other.
+
+    With ``sparsity`` above 0, about that share of the amplitudes is zero
+    (never all of them), which leaves the field in several disjoint blocks.
+    """
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=dim * dim) + 1j * rng.normal(size=dim * dim)
+    if sparsity:
+        vec[rng.random(dim * dim) < sparsity] = 0.0
+        vec[rng.integers(dim * dim)] += 1.0
     return StateVector(TruncatedFockSpace((dim, dim)), vec / np.linalg.norm(vec))
 
 
@@ -258,13 +268,61 @@ def test_inject_oracle_blocks_match_full_product_reference(source, r):
 )
 def test_squeezing_is_inferred_only_from_a_squeezed_vacuum(psi):
     # |0, 1> and a random input carry no squeezing to read: one ValueError
-    # naming s=, and with s= given both routes run
-    for route in (inject, inject_oracle):
-        with pytest.raises(ValueError, match="s="):
-            route(psi, CouplingParam(0.5))
-        assert route(psi, CouplingParam(0.5), s=SqueezeParam(0.2)).s == SqueezeParam(0.2)
+    # naming s=, and with s= given the oracle runs; inject reads only the
+    # twin levels, so it refuses both inputs, with or without s=
+    with pytest.raises(ValueError, match="s="):
+        inject_oracle(psi, CouplingParam(0.5))
+    assert inject_oracle(psi, CouplingParam(0.5), s=SqueezeParam(0.2)).s == SqueezeParam(0.2)
+    for kwargs in ({}, {"s": SqueezeParam(0.2)}):
+        with pytest.raises(ValueError, match="inject_oracle"):
+            inject(psi, CouplingParam(0.5), **kwargs)
     field = inject_oracle(psi, CouplingParam(0.5), s=SqueezeParam(0.2))
     assert field.rho.trace().real == pytest.approx(psi.norm_sq(), abs=1e-13)
+
+
+def phased_twin_state(phase=0.7, s=0.65, n_max=4):
+    """A squeezed vacuum with amplitude e^{i phase n} on |n, n>: twin levels only, not real."""
+    psi = squeezed_state(SqueezeParam(s), TruncationPolicy(n_max=n_max))
+    dim = n_max + 1
+    twins = np.zeros(dim * dim, dtype=complex)
+    twins[:: dim + 1] = np.exp(1j * phase * np.arange(dim))
+    return StateVector(psi.space, psi.amplitudes * twins, psi.tail_weight)
+
+
+@pytest.mark.parametrize("source", ["off-twin", "phased-twin"])
+def test_inject_refuses_an_input_it_cannot_read(source):
+    # inject used to read only the real parts of the twin amplitudes: at
+    # r = 0.3 it returned a field of trace 0.41, 0.30 from the oracle's, for
+    # the off-twin input, and one 0.23 from the oracle's for the phased one
+    psi = off_twin_state() if source == "off-twin" else phased_twin_state()
+    with pytest.raises(ValueError, match="inject_oracle"):
+        inject(psi, CouplingParam(0.3), s=SqueezeParam(0.65))
+    field = inject_oracle(psi, CouplingParam(0.3), s=SqueezeParam(0.65))
+    assert field.rho.trace().real == pytest.approx(psi.norm_sq(), abs=1e-13)
+    ref = reference_inject_oracle(psi, CouplingParam(0.3))
+    assert np.max(np.abs(field.rho.matrix - ref)) < 1e-13
+
+
+def test_field_blocks_are_checked_and_packed():
+    # blocks given as separate arrays are packed into one buffer, and read
+    # back the same, as are copies; indices must be distinct, in range and
+    # match their matrix
+    field = inject(squeezed_state(SqueezeParam(0.65), TruncationPolicy(n_max=5)), CouplingParam(0.3))
+    loose = replace(field, blocks=tuple((list(idx), m.copy()) for idx, m in field.blocks))
+    assert np.array_equal(loose.blocks.flat, field.blocks.flat)
+    assert np.array_equal(loose.rho.matrix, field.rho.matrix)
+    rows, cols = np.divmod(np.arange(36**2), 36)
+    assert np.array_equal(loose.entries(rows, cols), field.rho.matrix.real.reshape(-1))
+    for twin in (copy.deepcopy(field), pickle.loads(pickle.dumps(field))):
+        assert np.array_equal(twin.entries(rows, cols), loose.entries(rows, cols))
+    for bad in (
+        ((np.arange(3), np.eye(2)),),  # matrix of the wrong size
+        ((np.arange(3), np.eye(3)), (np.arange(2, 4), np.eye(2))),  # index 2 twice
+        ((np.array([0, 36**2]), np.eye(2)),),  # past the last pair
+        ((np.array([-1, 0]), np.eye(2)),),
+    ):
+        with pytest.raises(ValueError, match="block"):
+            replace(field, blocks=bad)
 
 
 def reference_inject(psi, coupling):

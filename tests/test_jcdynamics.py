@@ -1,10 +1,20 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
+from cvqubits import analytic
+from cvqubits.entanglement import negativity_general
+from cvqubits.fieldprep import (
+    CouplingParam,
+    SqueezeParam,
+    TruncationPolicy,
+    inject,
+    inject_oracle,
+    squeezed_state,
+)
 from cvqubits.jcdynamics import (
     ATOM_BASIS,
     EVOLVE_PAD,
@@ -21,7 +31,7 @@ from cvqubits.jcdynamics import (
     reduce_atoms_series,
     total_excitation,
 )
-from cvqubits.tensorops import DensityOperator, StateVector, TruncatedFockSpace
+from cvqubits.tensorops import StateVector, TruncatedFockSpace
 
 LT_GRID = [0.1, 1.0, 5.0, 11.0, 15.0]
 # starts at lambda_t = 0, where the off-diagonal bands vanish, and crosses
@@ -345,7 +355,7 @@ def test_direct_reduction_of_a_field_that_breaks_photon_difference(name):
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     template = small_field(n_max=fdim - 1)
-    field = replace(template, rho=DensityOperator(template.rho.space, rho))
+    field = replace(template, blocks=((np.arange(fdim**2), rho),))
     atoms = AtomState(REDUCE_ATOMS[name])
     for lt in (0.0, 0.9, 6.3):
         via_composite = reduce_atoms(evolve(atoms, field, lt)).matrix
@@ -362,8 +372,36 @@ def test_series_of_a_field_that_breaks_photon_difference(name):
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     template = small_field(n_max=fdim - 1)
-    field = replace(template, rho=DensityOperator(template.rho.space, rho))
+    field = replace(template, blocks=((np.arange(fdim**2), rho),))
     atoms = AtomState(REDUCE_ATOMS[name])
     stack = reduce_atoms_series(atoms, field, SERIES_LTS)
     for lt, got in zip(SERIES_LTS, stack):
         assert np.max(np.abs(got - reference_reduce_atoms_direct(atoms, field, lt))) < 1e-13
+
+
+def test_dense_route_borrows_nothing_from_the_closed_form(monkeypatch):
+    # the oracle's field, its series and its measure need neither the
+    # splitting ladder nor any closed form: with every one of them raising,
+    # in every module of the package, they give the same stack
+    psi = squeezed_state(SqueezeParam(0.65), TruncationPolicy(n_max=9))
+    atoms = AtomState(REDUCE_ATOMS["superposition"])
+
+    def dense_route():
+        stack = reduce_atoms_series(atoms, inject_oracle(psi, CouplingParam(0.25)), SERIES_LTS)
+        return stack, negativity_general(stack).measure
+
+    before = dense_route()
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the dense route reached the closed form")
+
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "cvqubits"]
+    for name in ("binom_ladder", "binom_row", *analytic.__all__):
+        for module in package:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="closed form"):
+        inject(psi, CouplingParam(0.25))  # the patch is live
+    after = dense_route()
+    assert np.array_equal(before[0], after[0])
+    assert np.array_equal(before[1], after[1])

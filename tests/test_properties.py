@@ -17,6 +17,8 @@ from cvqubits.fieldprep import (  # noqa: E402
     inject_oracle,
     squeezed_state,
 )
+from cvqubits.jcdynamics import AtomState, evolve, reduce_atoms, reduce_atoms_series  # noqa: E402
+from test_fieldprep import random_pair_state, reference_inject_oracle  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,3 +51,41 @@ def test_series_measure_is_bounded_and_vanishes_without_shared_light(s, r, n_max
     for s_, r_ in ((s, 1.0), (0.0, r)):
         for m in negativity_closed_form(xstate_series(s_, r_, lts, n_max, initial)).tolist():
             assert m == 0.0 and math.copysign(1.0, m) == 1.0, (s_, r_)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.floats(0.0, 1.5),
+    r=st.floats(0.0, 1.0),
+    n_max=st.integers(1, 8),
+    lts=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),
+    initial=st.sampled_from(["gg", "ee", "eg", "ge"]),
+    seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+def test_series_on_the_blocks_equals_the_composite_on_the_dense_view(s, r, n_max, lts, initial, seed):
+    # the field's blocks against the dense evolution of its dense view: an
+    # injected squeezed vacuum, or (with a seed) the oracle's field of a
+    # random pair input, whose blocks mix values of nA - nB
+    if seed is None:
+        field = inject(squeezed_state(SqueezeParam(s), TruncationPolicy(n_max=n_max)), CouplingParam(r))
+    else:
+        psi = random_pair_state(seed, n_max + 1, sparsity=0.7)
+        field = inject_oracle(psi, CouplingParam(r), s=SqueezeParam(s))
+    atoms = AtomState(initial)
+    stack = reduce_atoms_series(atoms, field, lts)
+    for lt, got in zip(lts, stack):
+        dense = reduce_atoms(evolve(atoms, field, lt)).matrix
+        assert np.max(np.abs(got - dense)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.floats(0.0, 1.0),
+    n_max=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    sparsity=st.floats(0.0, 0.95),
+)
+def test_oracle_dense_view_equals_the_full_product_reference(r, n_max, seed, sparsity):
+    psi = random_pair_state(seed, n_max + 1, sparsity)
+    got = inject_oracle(psi, CouplingParam(r), s=SqueezeParam(0.0)).rho.matrix
+    assert np.max(np.abs(got - reference_inject_oracle(psi, CouplingParam(r)))) <= 1e-12
