@@ -17,7 +17,6 @@ recorded tail weight.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,9 +79,9 @@ class WeightTable:
     K[n][m][k][l] = prefactor[n+m] * rows[n][k] rows[m][k] rows[n][l] rows[m][l].
     Only the prefactor and the rows are stored, the rows once, as the
     rung-ordered triangle ``ladder[n, j] = rows[n][n - j]`` of
-    :func:`fieldprep.binom_ladder`; ``rows[n]`` is a reversed view of its
-    row n.  Rows run one level past n_max because the corner coherence
-    couples neighbouring levels.
+    :func:`fieldprep.binom_ladder`, so ``rows[n]`` is ``ladder[n, n::-1]``.
+    Rows run one level past n_max because the corner coherence couples
+    neighbouring levels.
     """
 
     def __init__(self, s, r, n_max: int) -> None:
@@ -95,24 +94,6 @@ class WeightTable:
         self.ladder = binom_ladder(n_max + 1, self.coupling)
         powers = self.s.tanh ** np.arange(2 * n_max + 3, dtype=float)
         self.prefactor = powers / self.s.cosh**2
-
-    @property
-    def rows(self) -> "_LadderRows":
-        return _LadderRows(self.ladder)
-
-
-class _LadderRows(Sequence):
-    """rows[n][k] = ladder[n, n - k], one reversed view per level, made on access."""
-
-    def __init__(self, ladder: np.ndarray) -> None:
-        self._ladder = ladder
-
-    def __len__(self) -> int:
-        return len(self._ladder)
-
-    def __getitem__(self, n: int) -> np.ndarray:
-        n = range(len(self))[n]  # negative indices count from the top; IndexError past it
-        return self._ladder[n, n::-1]
 
 
 def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> AtomXState:

@@ -122,14 +122,18 @@ def _read_config_file(path: str) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
     settings: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text ({err.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        settings[key.strip()] = value.strip()
     return settings
 
 

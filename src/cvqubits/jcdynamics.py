@@ -9,14 +9,15 @@ This module is the slow, assumption-free reference path: `evolve` +
 `reduce_atoms` materializes the full composite state, while
 `reduce_atoms_series` contracts the field indices pair by pair -- the same
 algebra without the composite -- for a whole vector of times.  Because the
-transit conserves excitation, each cavity's field-traced propagator lives
-on a few diagonals of the field's photon indices.  The series builds the
-unitaries of a chunk of times at once, reads their diagonals from the
-exact zeros, forms each propagator diagonal as elementwise products of
-them, and gathers each matching field slice from the field's blocks once
-per call; a time then costs O(field_dim^2), and the chunk bounds the
-working memory however many times there are.  `reduce_atoms_direct` is its
-one-time case.
+transit only swaps |e, n-1> and |g, n> inside one photon-number doublet,
+each cavity's field-traced propagator lives on a few diagonals of the
+field's photon indices, one per (input atom, output atom) pair.  The
+series takes the transit's per-level amplitudes for a chunk of times at
+once, forms each propagator diagonal as elementwise products of them, and
+gathers each matching field slice from the field's blocks once per call;
+no dense unitary is built.  A time then costs O(field_dim^2), and the
+chunk bounds the O(field_dim)-per-time working memory however many times
+there are.  `reduce_atoms_direct` is its one-time case.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ __all__ = [
 # always deposit its quantum without hitting the wall; the populated
 # sectors then evolve exactly unitarily.
 EVOLVE_PAD = 2
-# Times per batch of reduce_atoms_series: its unitaries and propagators take
-# about 0.4 MB per time at n_max 42, so a chunk bounds them whatever the
-# number of times.
+# Times per batch of reduce_atoms_series: its amplitudes and propagator
+# diagonals take under 1 kB per field level per time (about 37 kB at n_max
+# 42), so a chunk bounds them whatever the number of times.
 SERIES_CHUNK = 8
 
 ATOM_BASIS = ("ee", "eg", "ge", "gg")  # per-atom ordering: |e> = 0, |g> = 1
@@ -132,30 +133,43 @@ def _times(lts) -> np.ndarray:
     return times
 
 
+def _jc_amplitudes(times: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transit's amplitudes per photon level n < dim at each time, each (T, dim).
+
+    Per photon level the excited/ground doublet rotates at the Rabi angle
+    lambda*t*sqrt(n).  Returns ``excited[t, n]`` = <e, n|U|e, n>,
+    ``ground[t, n]`` = <g, n|U|g, n> and ``exchange[t, n]`` =
+    <e, n-1|U|g, n> = <g, n|U|e, n-1>, which is 0 at n = 0: there is no
+    |e, -1>.  Every other element of U is zero.
+    """
+    n = np.arange(dim, dtype=float)
+    lt = times[:, None]
+    root = np.sqrt(n[1:])
+    exchange = np.zeros((len(times), dim), dtype=complex)
+    # |e, n-1> <-> |g, n> at sqrt(n) * sin(lt sqrt(n)) / sqrt(n), both ways
+    exchange[:, 1:] = -1j * (root * (np.sin(lt * root) / root))
+    return np.cos(lt * np.sqrt(n + 1.0)), np.cos(lt * np.sqrt(n)), exchange
+
+
 def jc_unitary_series(lts, field_dim: int) -> np.ndarray:
     """Pair transit unitaries at each time, stacked (T, 2 field_dim, 2 field_dim).
 
-    Each is on (atom x field), atom index slow, basis (|e>, |g>).  Per
-    photon level the excited/ground doublet rotates at the Rabi angle
-    lambda*t*sqrt(n).  Exactly unitary except at the top field level, where
-    the outgoing quantum has nowhere to go; keep populated levels below the
-    top (see EVOLVE_PAD).
+    Each is on (atom x field), atom index slow, basis (|e>, |g>), with the
+    amplitudes of :func:`_jc_amplitudes` scattered into it.  Exactly
+    unitary except at the top field level, where the outgoing quantum has
+    nowhere to go; keep populated levels below the top (see EVOLVE_PAD).
     """
     times = _times(lts)
     if field_dim < 2:
         raise ValueError(f"field_dim must be >= 2, got {field_dim}")
     dim = field_dim
-    n = np.arange(dim, dtype=float)
-    lt = times[:, None]
-    root = np.sqrt(n[1:])
+    excited, ground, exchange = _jc_amplitudes(times, dim)
     level = np.arange(dim)
     u = np.zeros((len(times), 2 * dim, 2 * dim), dtype=complex)
-    u[:, level, level] = np.cos(lt * np.sqrt(n + 1.0))
-    u[:, dim + level, dim + level] = np.cos(lt * np.sqrt(n))
-    # |e, n-1> <-> |g, n> at sqrt(n) * sin(lt sqrt(n)) / sqrt(n), both ways
-    exchange = -1j * (root * (np.sin(lt * root) / root))
-    u[:, level[:-1], dim + level[1:]] = exchange
-    u[:, dim + level[1:], level[:-1]] = exchange
+    u[:, level, level] = excited
+    u[:, dim + level, dim + level] = ground
+    u[:, level[:-1], dim + level[1:]] = exchange[:, 1:]
+    u[:, dim + level[1:], level[:-1]] = exchange[:, 1:]
     return u
 
 
@@ -227,48 +241,36 @@ def reduce_atoms(state: EvolvedState) -> DensityOperator:
     return partial_trace(state.rho, keep={0, 1})
 
 
-def _pair_band(u4: np.ndarray, col: int, col_dag: int, field_dim: int) -> dict[int, np.ndarray]:
+def _pair_band(amps: tuple[np.ndarray, ...], col: int, col_dag: int, field_dim: int) -> dict[int, np.ndarray]:
     """Field-traced pair propagator between two atom input columns, by diagonal.
 
-    ``u4`` holds T transit unitaries as (T, atom out, field out, atom in,
-    field in).  The propagator is C[t, i, n, j, m] = sum_p u[t, i, p, col, n]
-    * conj(u[t, j, p, col_dag, m]) over field inputs n, m below
-    ``field_dim``.  Each output-atom row i of a column holds u on a few
-    diagonals p - n, read from its exact nonzero pattern at any time.  A
-    ket diagonal s1 and a bra diagonal s2 meet only at n - m = s2 - s1,
-    where the sum over p is the one product u[t, i, n + s1, col, n] *
-    conj(u[t, j, m + s2, col_dag, m]), so each diagonal of C is a sum of
-    elementwise products of the unitaries' diagonals.  Returns, for each
-    diagonal d = n - m that this pairing populates, the (T, 4,
-    field_dim - |d|) array of C[t, i, n, j, n - d] over
+    ``amps`` are the (excited, ground, exchange) arrays of
+    :func:`_jc_amplitudes` over T times and at least field_dim + 1 levels.
+    The propagator is C[t, i, n, j, m] = sum_p u[t, i, p, col, n] *
+    conj(u[t, j, p, col_dag, m]) over field inputs n, m below
+    ``field_dim``.  An atom that enters as c and leaves as i moves the field
+    by the one shift i - c (|e> = 0, |g> = 1): it stays, it leaves a photon
+    (e -> g) or it takes one (g -> e).  So u[t, i, p, c, n] sits on the
+    single diagonal p = n + i - c, and the sum over p is the one product at
+    n - m = d = (j - col_dag) - (i - col).  Returns, for each such d, the
+    (T, 4, field_dim - |d|) array of C[t, i, n, j, n - d] over
     n = max(0, d) .. field_dim + min(0, d) - 1, with (i, j) flattened.
     """
-    times, big = u4.shape[0], u4.shape[2]
-    n = np.arange(field_dim)
-
-    def diagonals(c: int, i: int) -> dict[int, np.ndarray]:
-        # s -> (T, field_dim) array of u[t, i, n + s, c, n], 0 where n + s leaves the field
-        rows = u4[:, i, :, c, :field_dim]
-        p, m = np.nonzero(np.any(rows != 0, axis=0))
-        out = {}
-        for s in np.unique(p - m).tolist():
-            inside = (n + s >= 0) & (n + s < big)
-            out[s] = np.zeros((times, field_dim), dtype=complex)
-            out[s][:, inside] = rows[:, n[inside] + s, n[inside]]
-        return out
-
-    kets = [diagonals(col, i) for i in range(2)]
-    bras = [diagonals(col_dag, j) for j in range(2)]
+    excited, ground, exchange = amps
+    # diag[c][i][t, n] = u[t, i, n + i - c, c, n] over n < field_dim
+    diag = (
+        (excited[:, :field_dim], exchange[:, 1 : field_dim + 1]),
+        (exchange[:, :field_dim], ground[:, :field_dim]),
+    )
     band: dict[int, np.ndarray] = {}
     for i in range(2):
         for j in range(2):
-            for s1, ket in kets[i].items():
-                for s2, bra in bras[j].items():
-                    d = s2 - s1
-                    lo, hi = max(0, d), field_dim + min(0, d)
-                    if d not in band:
-                        band[d] = np.zeros((times, 4, hi - lo), dtype=complex)
-                    band[d][:, 2 * i + j] += ket[:, lo:hi] * bra[:, lo - d : hi - d].conj()
+            d = (j - col_dag) - (i - col)
+            lo, hi = max(0, d), field_dim + min(0, d)
+            if d not in band:
+                band[d] = np.zeros((len(excited), 4, hi - lo), dtype=complex)
+            ket, bra = diag[col][i], diag[col_dag][j]
+            band[d][:, 2 * i + j] += ket[:, lo:hi] * bra[:, lo - d : hi - d].conj()
     return band
 
 
@@ -278,24 +280,23 @@ def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.nd
     Identical algebra to evolve + reduce_atoms (the tests pin the two paths
     together), contracted one cavity at a time.  Each cavity's propagator,
     traced over the outgoing field, lives on a few diagonals n - m of the
-    incoming field's indices -- the transit conserves excitation -- and the
-    diagonals are read from the unitaries' exact zeros, never from the
-    field; a diagonal populated at any time is kept at every time, where it
-    may hold exact zeros (at lambda_t = 0, say).  Each pair of diagonals
-    (dA, dB) then meets only the field_dim x field_dim slice
+    incoming field's indices -- the transit conserves excitation -- formed
+    by :func:`_pair_band` from the transit's amplitudes, never from the
+    field or a dense unitary; a diagonal holds exact zeros where the
+    amplitudes vanish (the exchange at lambda_t = 0, say).  Each pair of
+    diagonals (dA, dB) then meets only the field_dim x field_dim slice
     rho[(nA, nB), (nA - dA, nB - dB)], gathered from the field's blocks once
     per call; the dense ``field.rho`` is never read.  A slice that holds
     only zeros is skipped, as every dA != dB is for an injected twin-photon
     field.  Any field is handled, whether or not it conserves nA - nB.
 
-    The times go SERIES_CHUNK at a time: the unitaries and propagator
+    The times go SERIES_CHUNK at a time: the amplitudes and propagator
     diagonals of one chunk are built as arrays and freed before the next,
     so the working memory does not grow with the number of times.  Rows
     are in the basis (|e,e>, |e,g>, |g,e>, |g,g>).
     """
     times = _times(lts)
     fdim = field.n_max + 1
-    big = fdim + EVOLVE_PAD
 
     chi = atoms.vector.reshape(2, 2)
     occupied = [(int(ia), int(ib)) for ia in range(2) for ib in range(2) if chi[ia, ib] != 0.0]
@@ -317,9 +318,8 @@ def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.nd
     stack = np.empty((len(times), 4, 4), dtype=complex)
     for start in range(0, len(times), SERIES_CHUNK):
         chunk = times[start : start + SERIES_CHUNK]
-        u4 = jc_unitary_series(chunk, big).reshape(-1, 2, big, 2, big)
-        bands = {col: _pair_band(u4, *col, fdim) for col in cols}
-        del u4  # the bands hold all that the contraction needs
+        amps = _jc_amplitudes(chunk, fdim + 1)
+        bands = {col: _pair_band(amps, *col, fdim) for col in cols}
 
         # [t, i, j, k, l]: A ket, A bra, B ket, B bra
         out = np.zeros((len(chunk), 2, 2, 2, 2), dtype=complex)

@@ -148,14 +148,16 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
     the blocks' indices and the field's gather tables, inject's ladders
     and the field slices that reduce_atoms_series gathers (it keeps only
     the nonzero ones) take under 128 B per (n+1)^2.  The series walks the
-    times SERIES_CHUNK at a time; per time of a chunk it holds the dense
-    transit unitary, 64 B per (n+3)^2, and the diagonals read off it,
-    under 80 B per (n+3)^2 in all (tracemalloc, field aside: 6.36 MB for a
-    chunk of 8 at n_max 106, 21.6 MB at n_max 200).  It returns a 256 B
-    state per time; measuring it takes up to five more of its size, 1536 B
-    per time in all (tracemalloc over the walk: 1424 B per time at n_max
-    13).  Up to 64 KiB of small arrays and buffers come on top (a
-    one-time series takes 10.7 kB at n_max 4).
+    times SERIES_CHUNK at a time; per time of a chunk it holds the
+    transit's amplitudes and the propagator diagonals formed from them,
+    under 1024 B per (n+1) in all (tracemalloc, field and slices aside,
+    all four atom columns occupied: about 870 B per (n+1) per time at
+    n_max 20 to 200, 1.4 MB for a chunk of 8 at n_max 200, where dense
+    unitaries took 21.1 MB).  It returns a 256 B state per time;
+    measuring it takes up to five more of its size, 1536 B per time in
+    all (tracemalloc over the walk: 1424 B per time at n_max 13).  Up to
+    64 KiB of small arrays and buffers come on top (a one-time series
+    takes 8.0 kB at n_max 4 for ee, 13.3 kB for a superposition).
     """
     need = 0
     if engine in ("analytic", "both"):
@@ -164,7 +166,7 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
     if engine in ("oracle", "both"):
         chunk = min(lt_steps, SERIES_CHUNK)
         need += 8 * ((n_max + 1) ** 2 + n_max * (n_max + 1) * (2 * n_max + 1) // 3)
-        need += 128 * (n_max + 1) ** 2 + 80 * chunk * (n_max + 3) ** 2 + 1536 * lt_steps + 2**16
+        need += 128 * (n_max + 1) ** 2 + 1024 * chunk * (n_max + 1) + 1536 * lt_steps + 2**16
     return need
 
 

@@ -31,8 +31,8 @@ def x_state(a, b, c, d, e):
 
 
 def entry(table, n, m, k, l):
-    """K[n][m][k][l] assembled from the table's stored rows and prefactor."""
-    rn, rm = table.rows[n], table.rows[m]
+    """K[n][m][k][l] assembled from the table's stored ladder and prefactor."""
+    rn, rm = table.ladder[n, n::-1], table.ladder[m, m::-1]
     return float(table.prefactor[n + m] * rn[k] * rm[k] * rn[l] * rm[l])
 
 
@@ -56,7 +56,7 @@ def test_weight_table_diagonal_total_is_kept_mass():
         for n_max in (4, 9, 20):
             table = WeightTable(s, 0.7, n_max)
             total = math.fsum(
-                table.prefactor[2 * n] * float(np.sum(table.rows[n] ** 2)) ** 2
+                table.prefactor[2 * n] * float(np.sum(table.ladder[n, n::-1] ** 2)) ** 2
                 for n in range(n_max + 1)
             )
             tail = math.tanh(s) ** (2 * (n_max + 1))
@@ -73,8 +73,9 @@ def test_weight_table_no_light_at_zero_squeezing():
 
 def test_weight_table_bounds():
     table = WeightTable(0.5, 0.5, 4)
-    # one row per level up to n_max + 1, row n holding n + 1 splittings
-    assert [row.size for row in table.rows] == list(range(1, 4 + 3))
+    # one rung-ordered row per level up to n_max + 1, row n holding n + 1 splittings
+    assert table.ladder.shape == (4 + 2, 4 + 2)
+    assert np.array_equal(table.ladder != 0, np.tri(4 + 2, dtype=bool))
     assert table.prefactor.size == 2 * 4 + 3
     with pytest.raises(ValueError):
         WeightTable(0.5, 0.5, -1)
@@ -202,7 +203,7 @@ def reference_xstate(s, r, lambda_t, n_max, initial):
     flip = np.empty(n_max + 1)
     stay = np.empty(n_max + 1)
     for n in range(n_max + 1):
-        row_sq = table.rows[n] ** 2
+        row_sq = table.ladder[n, n::-1] ** 2
         rabi = lt * np.sqrt(n - np.arange(n + 1) + shift)
         flip[n] = float(row_sq @ np.sin(rabi) ** 2)
         stay[n] = float(row_sq @ np.cos(rabi) ** 2)
@@ -220,7 +221,7 @@ def reference_xstate(s, r, lambda_t, n_max, initial):
     corner_terms = []
     for n in range(n_max):
         k = np.arange(n + 1)
-        cross = table.rows[n + 1][: n + 1] * table.rows[n][k]
+        cross = table.ladder[n + 1, n + 1 : 0 : -1] * table.ladder[n, n::-1]
         j = (n - k + shift).astype(float)
         if initial == "gg":
             amp = float(cross @ (np.sin(lt * np.sqrt(j + 1.0)) * np.cos(lt * np.sqrt(j))))

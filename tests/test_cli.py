@@ -124,22 +124,24 @@ def test_sweep_config_validation_errors():
             over_budget.validate()
 
 
+@pytest.mark.parametrize("lt_steps", [1, SERIES_CHUNK])
 @pytest.mark.parametrize("n_max", [20, 42, 106])
-def test_oracle_memory_estimate_covers_measured_peak(n_max):
-    # inject, then reduce_atoms_direct with the field alive, as one (s, r)
-    # group of the walk holds them
+def test_oracle_memory_estimate_covers_measured_peak(n_max, lt_steps):
+    # inject, then reduce_atoms_series with the field alive, as one (s, r)
+    # group of the walk holds them; one time, and one full chunk of them
     policy = TruncationPolicy(n_max=n_max)
     psi = squeezed_state(SqueezeParam(1.0), policy)
+    lts = np.linspace(3.3, 15.0, lt_steps)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         field = inject(psi, CouplingParam(0.25))
         for initial in ("gg", "ee", np.array([0.5, 0.5j, -0.5, 0.5j])):
-            reduce_atoms_direct(AtomState(initial), field, 3.3)
+            reduce_atoms_series(AtomState(initial), field, lts)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    estimate = sweep_mod._peak_bytes(n_max, 1, "oracle")
+    estimate = sweep_mod._peak_bytes(n_max, lt_steps, "oracle")
     assert peak <= estimate <= 2 * peak
 
 
@@ -289,6 +291,15 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg.write_text("squeeze = 0.3\n")
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "squeeze" in capsys.readouterr().err
+
+
+def test_cli_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"s = 0.5\xff\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cvqubits: error: ")
+    assert str(cfg) in err
 
 
 def test_cli_missing_config_file_is_io_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvqubits import analytic
+from cvqubits import analytic, jcdynamics
 from cvqubits.entanglement import negativity_general
 from cvqubits.fieldprep import (
     CouplingParam,
@@ -377,6 +377,23 @@ def test_series_of_a_field_that_breaks_photon_difference(name):
     stack = reduce_atoms_series(atoms, field, SERIES_LTS)
     for lt, got in zip(SERIES_LTS, stack):
         assert np.max(np.abs(got - reference_reduce_atoms_direct(atoms, field, lt))) < 1e-13
+
+
+def test_series_builds_no_dense_unitary(monkeypatch):
+    # the series reads the transit's amplitudes directly: with the dense
+    # stack of unitaries refused it still runs, and gives the same stacks
+    field = inject(squeezed_state(SqueezeParam(0.65), TruncationPolicy()), CouplingParam(0.25))
+    names = ("gg", "ee", "superposition")
+    before = [reduce_atoms_series(AtomState(REDUCE_ATOMS[name]), field, SERIES_LTS) for name in names]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the series built a dense unitary")
+
+    monkeypatch.setattr(jcdynamics, "jc_unitary_series", refuse)
+    with pytest.raises(AssertionError, match="dense unitary"):
+        jcdynamics.jc_unitary(1.0, 4)  # the patch is live
+    for name, stack in zip(names, before):
+        assert np.array_equal(reduce_atoms_series(AtomState(REDUCE_ATOMS[name]), field, SERIES_LTS), stack)
 
 
 def test_dense_route_borrows_nothing_from_the_closed_form(monkeypatch):
