@@ -160,7 +160,7 @@ class CavityFieldState:
     twin-photon field never couples two values of nA - nB, and its blocks
     are those sectors: about (n_max + 1)^3 / 1.5 numbers instead of
     (n_max + 1)^4.  ``rho`` is the dense view, built on first access, for
-    the routes that need the whole matrix (:func:`~cvqubits.jcdynamics.evolve`).
+    checks that compare whole matrices; no route of the package reads it.
     """
 
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]

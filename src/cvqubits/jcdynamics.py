@@ -5,19 +5,15 @@ under the resonant excitation-exchange unitary, built either in closed form
 per photon level or by exponentiating the block interaction Hamiltonian.
 The only parameter is the product of coupling and transit time, lambda*t.
 
-This module is the slow, assumption-free reference path: `evolve` +
-`reduce_atoms` materializes the full composite state, while
-`reduce_atoms_series` contracts the field indices pair by pair -- the same
-algebra without the composite -- for a whole vector of times.  Because the
-transit only swaps |e, n-1> and |g, n> inside one photon-number doublet,
-each cavity's field-traced propagator lives on a few diagonals of the
-field's photon indices, one per (input atom, output atom) pair.  The
-series takes the transit's per-level amplitudes for a chunk of times at
-once, forms each propagator diagonal as elementwise products of them, and
-gathers each matching field slice from the field's blocks once per call;
-no dense unitary is built.  A time then costs O(field_dim^2), and the
-chunk bounds the O(field_dim)-per-time working memory however many times
-there are.  `reduce_atoms_direct` is its one-time case.
+This module is the slow, assumption-free reference path.  The transit
+only swaps |e, n-1> and |g, n> inside one photon-number doublet, so each
+row of the pair unitary holds at most two nonzeros: `evolve` +
+`reduce_atoms` forms the full composite from the field's blocks through
+gathers over them.  `reduce_atoms_series` contracts the field indices
+pair by pair -- the same algebra without the composite -- for a whole
+vector of times, each cavity's field-traced propagator living on a few
+diagonals of the field's photon indices, so a time costs O(field_dim^2).
+`reduce_atoms_direct` is its one-time case.
 """
 
 from __future__ import annotations
@@ -191,46 +187,53 @@ def jc_unitary_oracle(params, field_dim: int) -> np.ndarray:
     return mat_exp(h, scale=-1j * lt)
 
 
-def _swap_middle_factors(m: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
-    """Regroup a four-factor operator (a, b, c, d) -> (a, c, b, d), rows and columns.
-
-    Factors (aA, aB, fA, fB) become pair order (aA, fA, aB, fB); the same
-    call with the pair-order dims (2, f, 2, f) undoes it.
-    """
-    d = m.shape[0]
-    return m.reshape(dims + dims).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d, d)
-
-
 def evolve(atoms: AtomState, field: CavityFieldState, params, method: str = "closed_form") -> EvolvedState:
     """Full composite evolution; factors ordered (atom A, atom B, field A, field B).
 
-    Dense and explicit: it reads the field's dense view ``field.rho``, and
-    memory grows like field_dim**4, fine at moderate cutoffs.  The pair unitary acts on each (atom, cavity) factor in turn, never
-    as kron(u, u).  For the reduced atom state at large cutoffs use
-    :func:`reduce_atoms_direct` instead.
+    Read from the field's blocks and the atoms' occupied basis states, never
+    from ``field.rho``: a block over field indices idx enters on the rows
+    (occupied atoms) x idx as kron(rho_atoms, block).  In pair order (atom
+    A, field A, atom B, field B) each row of U = kron(u, u) holds at most
+    four nonzeros, so U R U^dagger goes by gathers through them into the
+    rows U reaches, scatter-added into a zero output.  Only the output is
+    composite-sized (72 MB at s = 0.65); for the reduced atom state at
+    large cutoffs use :func:`reduce_atoms_direct`.
     """
-    if method == "closed_form":
-        build = jc_unitary
-    elif method == "hamiltonian":
-        build = jc_unitary_oracle
-    else:
+    build = {"closed_form": jc_unitary, "hamiltonian": jc_unitary_oracle}.get(method)
+    if build is None:
         raise ValueError(f"unknown method {method!r}")
 
     fdim = field.n_max + 1
     big = fdim + EVOLVE_PAD
-    padded = np.zeros((big, big, big, big), dtype=complex)
-    padded[:fdim, :fdim, :fdim, :fdim] = field.rho.matrix.reshape(fdim, fdim, fdim, fdim)
-
-    rho0 = np.kron(atoms.density(), padded.reshape(big * big, big * big))
-    pair = _swap_middle_factors(rho0, (2, 2, big, big)).reshape(4 * (2 * big,))
-    del rho0  # 72 MB at s = 0.65: free it before the products below
     u = build(params, big)
-    # kron(u, u) @ rho0 @ kron(u, u)^dagger, one pair factor at a time: each
-    # product contracts the leading index and puts the new one last, so four
-    # of them restore the order with only two pair tensors alive at once
-    for factor in (u, u, u.conj(), u.conj()):
-        pair = pair.reshape(2 * big, -1).T @ factor.T
-    out = _swap_middle_factors(pair.reshape(4 * big * big, -1), (2, big, 2, big))
+    # each row of u through its nonzero columns first, then zero entries
+    width = np.count_nonzero(u, axis=1).max()
+    src = np.argsort(u == 0, axis=1, kind="stable")[:, :width]
+    amp = np.take_along_axis(u, src, axis=1)
+    link = u != 0
+
+    occupied = np.flatnonzero(atoms.vector)
+    chi = atoms.vector[occupied]
+    out = np.zeros((4 * big * big,) * 2, dtype=complex)
+    for idx, block in field.blocks:
+        # the block's rows in pair order (atoms slow), their places, and kron(rho_atoms, block)
+        f_a, f_b = np.divmod(idx, fdim)
+        in_a = ((occupied[:, None] // 2) * big + f_a).reshape(-1)
+        in_b = ((occupied[:, None] % 2) * big + f_b).reshape(-1)
+        place = np.full((2 * big, 2 * big), -1, dtype=np.intp)
+        place[in_a, in_b] = np.arange(in_a.size)
+        rho = (np.outer(chi, chi.conj())[:, None, :, None] * block[None, :, None, :]).reshape(in_a.size, in_a.size)
+        # the rows U reaches, each with its preimages; one outside the block
+        # (place -1) gets amplitude 0 and reads the block's last row harmlessly
+        n_a, n_b = np.nonzero(link @ (place >= 0) @ link.T)
+        pre = place[src[n_a][:, :, None], src[n_b][:, None, :]].reshape(n_a.size, width**2)
+        val = (amp[n_a][:, :, None] * amp[n_b][:, None, :]).reshape(n_a.size, width**2)
+        val[pre < 0] = 0.0
+        left = sum(val[:, k, None] * rho[pre[:, k]] for k in range(pre.shape[1]))
+        part = sum(left[:, pre[:, k]] * val[:, k].conj() for k in range(pre.shape[1]))
+        # pair order (aA fA, aB fB) -> (aA, aB, fA, fB)
+        at = np.ravel_multi_index((n_a // big, n_b // big, n_a % big, n_b % big), (2, 2, big, big))
+        out[np.ix_(at, at)] += part
 
     space = TruncatedFockSpace((2, 2, big, big))
     return EvolvedState(DensityOperator(space, out, field.tail_weight))
@@ -280,20 +283,16 @@ def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.nd
     Identical algebra to evolve + reduce_atoms (the tests pin the two paths
     together), contracted one cavity at a time.  Each cavity's propagator,
     traced over the outgoing field, lives on a few diagonals n - m of the
-    incoming field's indices -- the transit conserves excitation -- formed
-    by :func:`_pair_band` from the transit's amplitudes, never from the
-    field or a dense unitary; a diagonal holds exact zeros where the
-    amplitudes vanish (the exchange at lambda_t = 0, say).  Each pair of
-    diagonals (dA, dB) then meets only the field_dim x field_dim slice
+    incoming field's indices, formed by :func:`_pair_band` from the
+    transit's amplitudes; a diagonal holds exact zeros where the amplitudes
+    vanish (the exchange at lambda_t = 0, say).  Each pair of diagonals
+    (dA, dB) meets only the field_dim x field_dim slice
     rho[(nA, nB), (nA - dA, nB - dB)], gathered from the field's blocks once
-    per call; the dense ``field.rho`` is never read.  A slice that holds
-    only zeros is skipped, as every dA != dB is for an injected twin-photon
-    field.  Any field is handled, whether or not it conserves nA - nB.
-
-    The times go SERIES_CHUNK at a time: the amplitudes and propagator
-    diagonals of one chunk are built as arrays and freed before the next,
-    so the working memory does not grow with the number of times.  Rows
-    are in the basis (|e,e>, |e,g>, |g,e>, |g,g>).
+    per call; a slice of only zeros is skipped, as every dA != dB is for an
+    injected twin-photon field.  Any field is handled, whether or not it
+    conserves nA - nB.  The times go SERIES_CHUNK at a time, so the working
+    memory does not grow with their number.  Rows are in the basis
+    (|e,e>, |e,g>, |g,e>, |g,g>).
     """
     times = _times(lts)
     fdim = field.n_max + 1
@@ -358,10 +357,5 @@ def total_excitation(rho: DensityOperator) -> float:
         raise ValueError(f"expected factors (2, 2, F, F), got {dims}")
     diag = np.real(np.diag(rho.matrix)).reshape(dims)
     excited = np.array([1.0, 0.0])  # |e> carries the quantum
-    weight = (
-        excited[:, None, None, None]
-        + excited[None, :, None, None]
-        + np.arange(dims[2])[None, None, :, None]
-        + np.arange(dims[3])[None, None, None, :]
-    )
+    weight = np.add.outer(np.add.outer(excited, excited), np.add.outer(np.arange(dims[2]), np.arange(dims[3])))
     return float(np.sum(diag * weight))

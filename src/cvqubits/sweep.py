@@ -143,17 +143,15 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
     numpy buffers (tracemalloc: 1.74 MB at n_max 314 with one time, 9.5 MB
     at n_max 63 with 2000).
     The oracle holds the injected field as its real nA - nB sector blocks,
-    8 ((n+1)^2 + n(n+1)(2n+1)/3) B in one buffer (0.42 MB at n_max 42;
-    a dense complex field would take 16 (n+1)^4 B, 55 MB).  Next to it,
-    the blocks' indices and the field's gather tables, inject's ladders
-    and the field slices that reduce_atoms_series gathers (it keeps only
-    the nonzero ones) take under 128 B per (n+1)^2.  The series walks the
-    times SERIES_CHUNK at a time; per time of a chunk it holds the
-    transit's amplitudes and the propagator diagonals formed from them,
-    under 1024 B per (n+1) in all (tracemalloc, field and slices aside,
-    all four atom columns occupied: about 870 B per (n+1) per time at
-    n_max 20 to 200, 1.4 MB for a chunk of 8 at n_max 200, where dense
-    unitaries took 21.1 MB).  It returns a 256 B state per time;
+    8 ((n+1)^2 + n(n+1)(2n+1)/3) B in one buffer (0.42 MB at n_max 42).
+    The blocks' indices, the field's gather tables, inject's ladders and
+    the nonzero field slices that reduce_atoms_series gathers come next to
+    it: tracemalloc put them at 124 B per (n+1)^2 at n_max 106 and 119 B at
+    n_max 200 (one time, superposition), and 192 B leaves half as much
+    again.  The series walks the times SERIES_CHUNK at a time, holding the
+    transit's amplitudes and propagator diagonals of a chunk, under 1024 B
+    per (n+1) per time (tracemalloc, all four atom columns occupied: about
+    870 B at n_max 20 to 200).  It returns a 256 B state per time;
     measuring it takes up to five more of its size, 1536 B per time in
     all (tracemalloc over the walk: 1424 B per time at n_max 13).  Up to
     64 KiB of small arrays and buffers come on top (a one-time series
@@ -166,7 +164,7 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
     if engine in ("oracle", "both"):
         chunk = min(lt_steps, SERIES_CHUNK)
         need += 8 * ((n_max + 1) ** 2 + n_max * (n_max + 1) * (2 * n_max + 1) // 3)
-        need += 128 * (n_max + 1) ** 2 + 1024 * chunk * (n_max + 1) + 1536 * lt_steps + 2**16
+        need += 192 * (n_max + 1) ** 2 + 1024 * chunk * (n_max + 1) + 1536 * lt_steps + 2**16
     return need
 
 

@@ -141,27 +141,31 @@ class DensityOperator:
 def _violations(stack, tail_weight, herm_tol, psd_floor, trace_tol) -> list[str | None]:
     """Per matrix of a (T, d, d) stack, the first invariant of ``validate`` it breaks, or None.
 
-    Checked in the order Hermiticity, trace, smallest eigenvalue; the
-    eigenvalues come by the connected components of the nonzero pattern
-    that the matrices passing the first two checks share.
+    Checked in the order Hermiticity, trace, smallest eigenvalue, over the
+    stack's union nonzero pattern only, in chunks of about 2^16 entries (a
+    NaN counts as nonzero; a pair of zero entries deviates by 0).  The
+    eigenvalues come by the connected components of the Hermitian part's
+    pattern over the matrices passing the first two checks, each formed as
+    (m^dagger + m) / 2 inside its component.
     """
-    # one full-size copy, m^dagger; the deviation goes by blocks of about
-    # 2^16 entries, and the copy then becomes the Hermitian part in place
-    h = stack.conj().swapaxes(1, 2)
+    nonzero = np.flatnonzero(np.any(stack, axis=0))
     size, dim = stack.shape[:2]
-    step = max(1, 2**16 // (size * dim))
-    dev = np.max([np.abs(stack[:, i : i + step] - h[:, i : i + step]).max(axis=(1, 2))
-                  for i in range(0, dim, step)], axis=0)
+    dev, herm = np.zeros(size), np.zeros((size, nonzero.size), dtype=bool)
+    step = max(1, 2**16 // size)
+    for i in range(0, nonzero.size, step):
+        r, c = np.divmod(nonzero[i : i + step], dim)
+        m, adj = stack[:, r, c], stack[:, c, r].conj()
+        dev = np.maximum(dev, np.abs(m - adj).max(axis=1))
+        herm[:, i : i + step] = (adj + m) * 0.5 != 0
     tr = np.trace(stack, axis1=1, axis2=2)
     lo, hi = 1.0 - tail_weight - trace_tol, 1.0 + trace_tol
     passed = (dev <= herm_tol) & (np.abs(tr.imag) <= trace_tol) & (lo <= tr.real) & (tr.real <= hi)
-    h += stack
-    h *= 0.5
     wmin = np.full(size, np.inf)
     if passed.any():
-        sub = h if passed.all() else h[passed]  # no second copy of a lone large operator
-        blocks = _sectors(np.any(sub, axis=0))
-        wmin[passed] = np.min([np.linalg.eigvalsh(sub[:, b[:, None], b])[:, 0] for b in blocks], axis=0)
+        sub = stack if passed.all() else stack[passed]  # no second copy of a lone large operator
+        sectors = _components(*np.divmod(nonzero[herm[passed].any(axis=0)], dim), dim)
+        blocks = (sub[:, b[:, None], b] for b in sectors)
+        wmin[passed] = np.min([np.linalg.eigvalsh((b.conj().swapaxes(1, 2) + b) * 0.5)[:, 0] for b in blocks], axis=0)
 
     def first(d, t, w):
         if not d <= herm_tol:  # a NaN entry fails here too
@@ -281,12 +285,16 @@ def _component_labels(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
 
 
 def _sectors(m: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of m's exact nonzero pattern.
+    """Index sets of the connected components of m's exact nonzero pattern, as :func:`_components`."""
+    return _components(*np.nonzero(m), len(m))
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray]:
+    """Index sets of the connected components over the edges rows[i] -- cols[i] of nodes 0..size-1.
 
     The sets come sorted, and ordered by their smallest index.
     """
-    rows, cols = np.nonzero(m)
-    label = _component_labels(rows, cols, len(m))
+    label = _component_labels(rows, cols, size)
     order = np.argsort(label, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 

@@ -214,6 +214,28 @@ def test_evolve_holds_two_composite_copies():
     assert peak <= 2.25 * out.rho.matrix.nbytes
 
 
+def test_composite_at_s065_holds_little_beyond_its_output():
+    # the referee's largest composite (2116-dim, 0.15 % nonzero): evolve
+    # builds it block by block into the output alone, and validate walks its
+    # nonzero pattern instead of making full-size copies
+    policy = TruncationPolicy()
+    field = inject(squeezed_state(SqueezeParam(0.65), policy), CouplingParam(0.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = evolve(AtomState("gg"), field, 11.0)
+        evolve_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out.rho.validate(herm_tol=1e-10, psd_floor=-1e-10, trace_tol=1e-10)
+        validate_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.rho.matrix.shape == (2116, 2116)
+    assert evolve_peak <= 1.25 * out.rho.matrix.nbytes
+    assert validate_peak <= 0.25 * out.rho.matrix.nbytes
+
+
 def test_evolve_methods_agree():
     field = small_field(s=0.4, r=0.3, n_max=5)
     a = evolve(AtomState("gg"), field, 7.0, method="closed_form")
@@ -399,7 +421,9 @@ def test_series_builds_no_dense_unitary(monkeypatch):
 def test_dense_route_borrows_nothing_from_the_closed_form(monkeypatch):
     # the oracle's field, its series and its measure need neither the
     # splitting ladder nor any closed form: with every one of them raising,
-    # in every module of the package, they give the same stack
+    # in every module of the package, they give the same stack.  The
+    # composite through the Hamiltonian exponential and its validate verdict
+    # need the transit's closed-form amplitudes neither
     psi = squeezed_state(SqueezeParam(0.65), TruncationPolicy(n_max=9))
     atoms = AtomState(REDUCE_ATOMS["superposition"])
 
@@ -407,7 +431,15 @@ def test_dense_route_borrows_nothing_from_the_closed_form(monkeypatch):
         stack = reduce_atoms_series(atoms, inject_oracle(psi, CouplingParam(0.25)), SERIES_LTS)
         return stack, negativity_general(stack).measure
 
-    before = dense_route()
+    def composite():
+        rho = evolve(atoms, inject_oracle(psi, CouplingParam(0.25)), 6.3, method="hamiltonian").rho
+        try:
+            rho.validate()
+        except ValueError as err:
+            return rho.matrix, str(err)
+        return rho.matrix, None
+
+    before, before_composite = dense_route(), composite()
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("the dense route reached the closed form")
@@ -422,3 +454,10 @@ def test_dense_route_borrows_nothing_from_the_closed_form(monkeypatch):
     after = dense_route()
     assert np.array_equal(before[0], after[0])
     assert np.array_equal(before[1], after[1])
+
+    monkeypatch.setattr(jcdynamics, "_jc_amplitudes", refuse)
+    with pytest.raises(AssertionError, match="closed form"):
+        jcdynamics.jc_unitary(1.0, 4)  # the patch is live
+    after_composite = composite()
+    assert np.array_equal(before_composite[0], after_composite[0])
+    assert before_composite[1] == after_composite[1] is None

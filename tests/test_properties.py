@@ -1,6 +1,7 @@
 """Property tests over randomly drawn parameters (hypothesis)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cvqubits.fieldprep import (  # noqa: E402
 )
 from cvqubits.jcdynamics import AtomState, evolve, reduce_atoms, reduce_atoms_series  # noqa: E402
 from test_fieldprep import random_pair_state, reference_inject_oracle  # noqa: E402
+from test_jcdynamics import reference_evolve  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,6 +78,35 @@ def test_series_on_the_blocks_equals_the_composite_on_the_dense_view(s, r, n_max
     for lt, got in zip(lts, stack):
         dense = reduce_atoms(evolve(atoms, field, lt)).matrix
         assert np.max(np.abs(got - dense)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.floats(0.0, 1.5),
+    r=st.floats(0.0, 1.0),
+    n_max=st.integers(1, 5),
+    lt=st.floats(0.0, 20.0),
+    initial=st.sampled_from(["gg", "ee", "eg", "superposition"]),
+    seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    one_block=st.booleans(),
+)
+def test_composite_by_blocks_equals_the_literal_kron_on_the_dense_view(s, r, n_max, lt, initial, seed, one_block):
+    # evolve reads the field's blocks; the reference forms kron(u, u) and
+    # applies it to the dense view.  The field is an injected squeezed
+    # vacuum or (with a seed) the oracle's field of a random pair input,
+    # whose blocks mix values of nA - nB, and may be held as one block over
+    # every index instead
+    if seed is None:
+        field = inject(squeezed_state(SqueezeParam(s), TruncationPolicy(n_max=n_max)), CouplingParam(r))
+    else:
+        psi = random_pair_state(seed, n_max + 1, sparsity=0.7)
+        field = inject_oracle(psi, CouplingParam(r), s=SqueezeParam(s))
+    if one_block:
+        field = replace(field, blocks=((np.arange((n_max + 1) ** 2), field.rho.matrix),))
+    atoms = AtomState(np.array([0.5, 0.5j, -0.5, 0.5j]) if initial == "superposition" else initial)
+    for method in ("closed_form", "hamiltonian"):
+        got = evolve(atoms, field, lt, method=method).rho.matrix
+        assert np.max(np.abs(got - reference_evolve(atoms, field, lt, method))) <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)

@@ -400,6 +400,19 @@ def test_validate_holds_one_extra_copy():
         DensityOperator(TruncatedFockSpace((1024,)), m).validate()
 
 
+def test_validate_catches_a_one_sided_entry_between_sectors():
+    # the 32-block state of the test above with one entry whose transposed
+    # partner is exactly 0, joining the first block to the last: only the
+    # entry itself is in the nonzero pattern, and it must still count
+    blocks = random_density(32, np.random.default_rng(5))
+    m = np.kron(np.eye(32), blocks) / 32.0
+    DensityOperator(TruncatedFockSpace((1024,)), m).validate()
+    m[0, 1023] = 1e-9
+    assert m[1023, 0] == 0.0
+    with pytest.raises(ValueError, match="not Hermitian: max deviation 1.000e-09"):
+        DensityOperator(TruncatedFockSpace((1024,)), m).validate()
+
+
 def test_eig_hermitian_takes_a_stack_and_rejects_nan():
     stack = np.stack([random_hermitian(3) for _ in range(4)])
     got = eig_hermitian(stack)
