@@ -30,10 +30,8 @@ from .fieldprep import (
 )
 from .jcdynamics import (
     AtomState,
-    JCParams,
     EvolvedState,
     jc_unitary,
-    jc_unitary_series,
     jc_unitary_oracle,
     evolve,
     reduce_atoms,
@@ -81,10 +79,8 @@ __all__ = [
     "inject",
     "inject_oracle",
     "AtomState",
-    "JCParams",
     "EvolvedState",
     "jc_unitary",
-    "jc_unitary_series",
     "jc_unitary_oracle",
     "evolve",
     "reduce_atoms",

@@ -62,24 +62,24 @@ class SqueezeParam:
 
 @dataclass(frozen=True)
 class CouplingParam:
-    """Beam-splitter reflection coefficient r = cos(theta/2).
+    """Beam-splitter reflection coefficient r = cos(theta/2), given as r alone.
 
     r = 0 transmits the external field into the cavity completely (pure
     injection); r = 1 reflects everything and the cavity stays in vacuum.
+    The mixing angle ``theta`` is read off r.
     """
 
     r: float
-    theta: float | None = None
 
     def __post_init__(self) -> None:
         r = float(self.r)
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"reflection coefficient must lie in [0, 1], got {self.r}")
         object.__setattr__(self, "r", r)
-        if self.theta is None:
-            object.__setattr__(self, "theta", 2.0 * math.acos(r))
-        elif abs(r - math.cos(self.theta / 2.0)) > 1e-14:
-            raise ValueError(f"r={r} inconsistent with theta={self.theta}")
+
+    @property
+    def theta(self) -> float:
+        return 2.0 * math.acos(self.r)
 
     # Half-angle cosine/sine straight from r: exact at both endpoints,
     # where going through theta would leave ~1e-16 dust.
@@ -424,8 +424,9 @@ def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityF
     pair's total n = e + c, and the pair states with n <= n_max are an
     invariant subspace holding everything the input reaches.  The generator
     is built there one total at a time, from the same entries of ``a`` that
-    kron(a.T, a) - kron(a, a.T) holds, and exponentiated block by block;
-    input level n meets only the |n, 0> column of its block.  The
+    kron(a.T, a) - kron(a, a.T) holds, and exponentiated block by block
+    (as the Hermitian i G, at scale -i theta/2); input level n meets only
+    the |n, 0> column of its block.  The
     (externals x cavities) amplitude matrix is formed from those columns as
     a list of its nonzero entries.  Columns linked through shared nonzero
     rows form one block, and the externals are traced out with one Gram
@@ -448,7 +449,7 @@ def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityF
         j = i.T
         # kron(a.T, a) - kron(a, a.T) between those pair states
         block = a[j, i] * a[n - i, n - j] - a[i, j] * a[n - j, n - i]
-        reach[n, : n + 1] = mat_exp(block, scale=coupling.theta / 2.0)[:, n].real
+        reach[n, : n + 1] = mat_exp(1j * block, scale=-0.5j * coupling.theta)[:, n].real
 
     # amplitude of (externals eA, eB) x (cavities n_A - eA, n_B - eB), one
     # (level x level) slab per nonzero input amplitude; no two slabs share an entry

@@ -18,26 +18,17 @@ diagonals of the field's photon indices, so a time costs O(field_dim^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fieldprep import CavityFieldState
-from .tensorops import (
-    DensityOperator,
-    StateVector,
-    TruncatedFockSpace,
-    mat_exp,
-    partial_trace,
-)
+from .tensorops import DensityOperator, TruncatedFockSpace, mat_exp, partial_trace
 
 __all__ = [
     "AtomState",
-    "JCParams",
     "EvolvedState",
     "jc_unitary",
-    "jc_unitary_series",
     "jc_unitary_oracle",
     "evolve",
     "reduce_atoms",
@@ -62,8 +53,9 @@ class AtomState:
     """Initial joint state of the two atoms.
 
     Either one of the four basis labels or any normalized two-qubit pure
-    state (a 4-amplitude array or a StateVector with factors (2, 2)), in
-    the basis (|e,e>, |e,g>, |g,e>, |g,g>).
+    state as 4 amplitudes, in the basis (|e,e>, |e,g>, |g,e>, |g,g>).  The
+    amplitudes are copied, so a later change to the caller's array cannot
+    reach the checked state.
     """
 
     def __init__(self, state) -> None:
@@ -74,12 +66,7 @@ class AtomState:
             vec[ATOM_BASIS.index(state)] = 1.0
             self.label: str | None = state
         else:
-            if isinstance(state, StateVector):
-                if state.space.factor_dims != (2, 2):
-                    raise ValueError(f"expected a two-qubit state, got factors {state.space.factor_dims}")
-                vec = state.amplitudes.copy()
-            else:
-                vec = np.asarray(state, dtype=complex).reshape(-1)
+            vec = np.array(state, dtype=complex).reshape(-1)
             if vec.size != 4:
                 raise ValueError(f"expected 4 amplitudes, got {vec.size}")
             if abs(float(np.real(np.vdot(vec, vec))) - 1.0) > 1e-10:
@@ -95,31 +82,14 @@ class AtomState:
 
 
 @dataclass(frozen=True)
-class JCParams:
-    """Dimensionless interaction time lambda*t; nothing else enters."""
-
-    lambda_t: float
-
-    def __post_init__(self) -> None:
-        lt = float(self.lambda_t)
-        if not math.isfinite(lt) or lt < 0.0:
-            raise ValueError(f"lambda_t must be finite and >= 0, got {self.lambda_t}")
-        object.__setattr__(self, "lambda_t", lt)
-
-
-@dataclass(frozen=True)
 class EvolvedState:
     """Composite state after the transit, factors (atom A, atom B, field A, field B)."""
 
     rho: DensityOperator
 
 
-def _lt(params) -> float:
-    return params.lambda_t if isinstance(params, JCParams) else JCParams(params).lambda_t
-
-
 def _times(lts) -> np.ndarray:
-    """The times of a series as a 1-D float array, each checked as JCParams does."""
+    """The times of a series as a 1-D float array, each checked finite and >= 0."""
     times = np.asarray(lts, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"expected a 1-D vector of times, got shape {times.shape}")
@@ -147,36 +117,31 @@ def _jc_amplitudes(times: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray,
     return np.cos(lt * np.sqrt(n + 1.0)), np.cos(lt * np.sqrt(n)), exchange
 
 
-def jc_unitary_series(lts, field_dim: int) -> np.ndarray:
-    """Pair transit unitaries at each time, stacked (T, 2 field_dim, 2 field_dim).
+def jc_unitary(lt: float, field_dim: int) -> np.ndarray:
+    """Pair transit unitary at time lambda*t = ``lt``, (2 field_dim, 2 field_dim).
 
-    Each is on (atom x field), atom index slow, basis (|e>, |g>), with the
+    On (atom x field), atom index slow, basis (|e>, |g>), with the
     amplitudes of :func:`_jc_amplitudes` scattered into it.  Exactly
     unitary except at the top field level, where the outgoing quantum has
     nowhere to go; keep populated levels below the top (see EVOLVE_PAD).
     """
-    times = _times(lts)
+    times = _times([lt])
     if field_dim < 2:
         raise ValueError(f"field_dim must be >= 2, got {field_dim}")
     dim = field_dim
-    excited, ground, exchange = _jc_amplitudes(times, dim)
+    excited, ground, exchange = (amp[0] for amp in _jc_amplitudes(times, dim))
     level = np.arange(dim)
-    u = np.zeros((len(times), 2 * dim, 2 * dim), dtype=complex)
-    u[:, level, level] = excited
-    u[:, dim + level, dim + level] = ground
-    u[:, level[:-1], dim + level[1:]] = exchange[:, 1:]
-    u[:, dim + level[1:], level[:-1]] = exchange[:, 1:]
+    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    u[level, level] = excited
+    u[dim + level, dim + level] = ground
+    u[level[:-1], dim + level[1:]] = exchange[1:]
+    u[dim + level[1:], level[:-1]] = exchange[1:]
     return u
 
 
-def jc_unitary(params, field_dim: int) -> np.ndarray:
-    """Pair transit unitary at one time: the one-time case of :func:`jc_unitary_series`."""
-    return jc_unitary_series([_lt(params)], field_dim)[0]
-
-
-def jc_unitary_oracle(params, field_dim: int) -> np.ndarray:
+def jc_unitary_oracle(lt: float, field_dim: int) -> np.ndarray:
     """Same unitary by exponentiating the block interaction Hamiltonian."""
-    lt = _lt(params)
+    lt = float(_times([lt])[0])
     if field_dim < 2:
         raise ValueError(f"field_dim must be >= 2, got {field_dim}")
     dim = field_dim
@@ -187,7 +152,7 @@ def jc_unitary_oracle(params, field_dim: int) -> np.ndarray:
     return mat_exp(h, scale=-1j * lt)
 
 
-def evolve(atoms: AtomState, field: CavityFieldState, params, method: str = "closed_form") -> EvolvedState:
+def evolve(atoms: AtomState, field: CavityFieldState, lt: float, method: str = "closed_form") -> EvolvedState:
     """Full composite evolution; factors ordered (atom A, atom B, field A, field B).
 
     Read from the field's blocks and the atoms' occupied basis states, never
@@ -205,7 +170,7 @@ def evolve(atoms: AtomState, field: CavityFieldState, params, method: str = "clo
 
     fdim = field.n_max + 1
     big = fdim + EVOLVE_PAD
-    u = build(params, big)
+    u = build(lt, big)
     # each row of u through its nonzero columns first, then zero entries
     width = np.count_nonzero(u, axis=1).max()
     src = np.argsort(u == 0, axis=1, kind="stable")[:, :width]
@@ -337,12 +302,12 @@ def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.nd
     return stack
 
 
-def reduce_atoms_direct(atoms: AtomState, field: CavityFieldState, params) -> DensityOperator:
+def reduce_atoms_direct(atoms: AtomState, field: CavityFieldState, lt: float) -> DensityOperator:
     """Reduced two-atom state after the transit at one time, without the composite.
 
     The one-time case of :func:`reduce_atoms_series`.
     """
-    rho4 = reduce_atoms_series(atoms, field, [_lt(params)])[0]
+    rho4 = reduce_atoms_series(atoms, field, [lt])[0]
     return DensityOperator(TruncatedFockSpace((2, 2)), rho4, field.tail_weight)
 
 

@@ -5,6 +5,8 @@ States are plain numpy arrays wrapped together with their factor structure
 requested by factor index instead of by hand-rolled stride arithmetic.
 Every operation is a pure function of its inputs; nothing here mutates its
 arguments, and results are bit-reproducible for a fixed summation order.
+The one matrix exponential, :func:`mat_exp`, takes Hermitian generators
+only, and exponentiates them sector by sector.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import string
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg  # noqa: F401  unused; without it its import work (locale) lands in the first sweep
 
 __all__ = [
     "TruncatedFockSpace",
@@ -49,10 +51,6 @@ class TruncatedFockSpace:
         if any(d < 1 for d in dims):
             raise ValueError(f"every factor dimension must be >= 1, got {dims}")
         object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.factor_dims)
 
     @property
     def total_dim(self) -> int:
@@ -179,21 +177,17 @@ def _violations(stack, tail_weight, herm_tol, psd_floor, trace_tol) -> list[str 
     return [first(d, t, w) for d, t, w in zip(dev.tolist(), tr.tolist(), wmin.tolist())]
 
 
-def kron(a, b):
-    """Tensor product of two states of the same kind.
+def kron(a: DensityOperator, b: DensityOperator) -> DensityOperator:
+    """Tensor product of two density operators.
 
     The first argument supplies the slow (leftmost) indices; the result's
     factor list is the concatenation of the inputs' factor lists.
     """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        space = TruncatedFockSpace(a.space.factor_dims + b.space.factor_dims)
-        tail = 1.0 - (1.0 - a.tail_weight) * (1.0 - b.tail_weight)
-        return StateVector(space, np.kron(a.amplitudes, b.amplitudes), tail)
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        space = TruncatedFockSpace(a.space.factor_dims + b.space.factor_dims)
-        tail = 1.0 - (1.0 - a.tail_weight) * (1.0 - b.tail_weight)
-        return DensityOperator(space, np.kron(a.matrix, b.matrix), tail)
-    raise TypeError("kron needs two StateVectors or two DensityOperators")
+    if not (isinstance(a, DensityOperator) and isinstance(b, DensityOperator)):
+        raise TypeError("kron needs two DensityOperators")
+    space = TruncatedFockSpace(a.space.factor_dims + b.space.factor_dims)
+    tail = 1.0 - (1.0 - a.tail_weight) * (1.0 - b.tail_weight)
+    return DensityOperator(space, np.kron(a.matrix, b.matrix), tail)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -299,35 +293,29 @@ def _components(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarra
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _spectral_exp(h: np.ndarray, phase: complex) -> np.ndarray:
-    """exp(phase * h) for Hermitian h, one eigensolve per sector."""
+def mat_exp(h, scale: complex = 1.0) -> np.ndarray:
+    """exp(scale * h) for a nonempty, finite, Hermitian square matrix h.
+
+    Spectral: each connected component of h's exact nonzero pattern is
+    diagonalised on its own, so a generator that conserves photon or
+    excitation number costs one small eigensolve per sector, and an
+    imaginary ``scale`` keeps the result exactly unitary.  An anti-Hermitian
+    generator g goes in as h = i g with ``scale`` divided by i.  Raises
+    ValueError for an h that deviates from Hermiticity by more than 1e-13
+    of its largest entry (or of 1).
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {h.shape}")
+    if not (np.all(np.isfinite(h)) and np.isfinite(scale)):
+        raise ValueError("generator and scale must be finite")
+    adj = h.conj().T
+    dev = float(np.max(np.abs(h - adj)))
+    if dev > 1e-13 * max(float(np.max(np.abs(h))), 1.0):
+        raise ValueError(f"generator is not Hermitian: max deviation {dev:.3e}")
+    h = (h + adj) / 2.0
     out = np.zeros_like(h)
     for b in _sectors(h):
         w, v = np.linalg.eigh(h[np.ix_(b, b)])
-        out[np.ix_(b, b)] = (v * np.exp(phase * w)) @ v.conj().T
+        out[np.ix_(b, b)] = (v * np.exp(scale * w)) @ v.conj().T
     return out
-
-
-def mat_exp(m, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * m) for a nonempty, finite square complex matrix.
-
-    Hermitian and anti-Hermitian generators take the spectral route, which
-    keeps the result exactly unitary for anti-Hermitian ``scale * m``.  It
-    diagonalises each connected component of the exact nonzero pattern on
-    its own, so a generator that conserves photon or excitation number costs
-    one small eigensolve per sector.  Anything else falls back to scipy's
-    scaling-and-squaring.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m)) and np.isfinite(scale)):
-        raise ValueError("generator and scale must be finite")
-    ref = max(float(np.max(np.abs(m))), 1.0)
-    adj = m.conj().T
-    if float(np.max(np.abs(m - adj))) <= 1e-13 * ref:
-        return _spectral_exp((m + adj) / 2.0, scale)
-    if float(np.max(np.abs(m + adj))) <= 1e-13 * ref:
-        # m = -i h with h = i (m - m^dagger) / 2 Hermitian, so exp(scale m) = exp(-i scale h)
-        return _spectral_exp(0.5j * (m - adj), -1j * scale)
-    return scipy.linalg.expm(scale * m)

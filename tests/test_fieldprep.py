@@ -38,10 +38,9 @@ def test_squeeze_param_rejects_bad_values():
 def test_coupling_param_theta_consistency():
     c = CouplingParam(0.25)
     assert c.theta == pytest.approx(2.0 * math.acos(0.25))
-    # explicit consistent theta is accepted, inconsistent is not
-    CouplingParam(0.25, theta=2.0 * math.acos(0.25))
-    with pytest.raises(ValueError):
-        CouplingParam(0.25, theta=2.0 * math.acos(0.3))
+    # theta is read off r, never given or set
+    with pytest.raises(AttributeError):
+        c.theta = 1.0
     with pytest.raises(ValueError):
         CouplingParam(1.5)
 
@@ -200,7 +199,7 @@ def reference_inject_oracle(psi, coupling):
     a = np.diag(np.sqrt(np.arange(1.0, big)), 1)
     cav = np.kron(np.eye(big), a)  # cavity is the fast factor of a pair
     ext = np.kron(a, np.eye(big))
-    bs = mat_exp(cav @ ext.T - cav.T @ ext, scale=coupling.theta / 2.0)
+    bs = mat_exp(1j * (cav @ ext.T - cav.T @ ext), scale=-0.5j * coupling.theta)
     amp = np.zeros((big * big, big * big), dtype=complex)
     occupied = np.arange(dim) * big
     amp[np.ix_(occupied, occupied)] = psi.amplitudes.reshape(dim, dim)

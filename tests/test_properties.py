@@ -55,6 +55,28 @@ def test_series_measure_is_bounded_and_vanishes_without_shared_light(s, r, n_max
             assert m == 0.0 and math.copysign(1.0, m) == 1.0, (s_, r_)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    s=st.floats(0.0, 1.0),
+    r=st.floats(0.0, 1.0),
+    lt=st.floats(0.0, 20.0),
+    initial=st.sampled_from(["gg", "ee"]),
+)
+def test_measure_stays_under_the_gaussian_bound(s, r, lt, initial):
+    # the transits are local channels, which cannot raise the field's
+    # negativity: the measure stays under 1/nu - 1, nu the smallest
+    # symplectic eigenvalue of the partially transposed lossy squeezed
+    # vacuum, and under the two-qubit maximum 1
+    nu = (1.0 - r * r) * math.exp(-2.0 * s) + r * r
+    n_max, _ = TruncationPolicy().resolve(s)
+    measure = negativity_closed_form(xstate_series(s, r, [lt], n_max, initial))[0]
+    assert measure <= min(1.0, 1.0 / nu - 1.0) + 1e-9
+    # where nu = 1 (full reflection, or no squeezing) the bound is 0, and the measure exactly 0
+    for s_, r_ in ((s, 1.0), (0.0, r)):
+        n_max, _ = TruncationPolicy().resolve(s_)
+        assert negativity_closed_form(xstate_series(s_, r_, [lt], n_max, initial))[0] == 0.0, (s_, r_)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     s=st.floats(0.0, 1.5),

@@ -34,7 +34,7 @@ def random_hermitian(dim, rng=RNG):
 
 def test_space_dims():
     space = TruncatedFockSpace((2, 2, 5))
-    assert space.n_factors == 3
+    assert space.factor_dims == (2, 2, 5)
     assert space.total_dim == 20
 
 
@@ -109,7 +109,7 @@ def test_kron_matches_index_loops():
 def test_kron_vectors_and_tail_combination():
     pa = StateVector(TruncatedFockSpace((2,)), [np.sqrt(0.8), 0.0], tail_weight=0.2)
     pb = StateVector(TruncatedFockSpace((2,)), [np.sqrt(0.5), 0.0], tail_weight=0.5)
-    out = kron(pa, pb)
+    out = kron(pa.density(), pb.density())
     # survival probabilities multiply
     assert out.tail_weight == pytest.approx(1.0 - 0.8 * 0.5)
     out.validate()
@@ -120,6 +120,8 @@ def test_kron_rejects_mixed_kinds():
     rho = psi.density()
     with pytest.raises(TypeError):
         kron(psi, rho)
+    with pytest.raises(TypeError):
+        kron(psi, psi)
 
 
 # ------------------------------------------------------------- partial trace
@@ -252,14 +254,19 @@ def test_mat_exp_matches_taylor_hermitian():
 
 def test_mat_exp_matches_taylor_antihermitian():
     h = random_hermitian(5)
-    g = -1j * h  # anti-Hermitian generator
-    np.testing.assert_allclose(mat_exp(g, scale=1.3), taylor_exp(g, 1.3), atol=1e-12)
+    g = -1j * h  # anti-Hermitian generator, passed as the Hermitian i g
+    np.testing.assert_allclose(mat_exp(1j * g, scale=1.3 / 1j), taylor_exp(g, 1.3), atol=1e-12)
 
 
 def test_mat_exp_matches_taylor_generic():
+    # a generator that is neither Hermitian nor anti-Hermitian is refused
     a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
     a /= 4.0
-    np.testing.assert_allclose(mat_exp(a), taylor_exp(a, 1.0), atol=1e-12)
+    with pytest.raises(ValueError, match="not Hermitian: max deviation"):
+        mat_exp(a)
+    g = -1j * random_hermitian(4)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        mat_exp(g)
 
 
 def test_mat_exp_beam_splitter_rotation():
@@ -268,7 +275,7 @@ def test_mat_exp_beam_splitter_rotation():
     g = np.zeros((4, 4))
     g[1, 2], g[2, 1] = 1.0, -1.0  # a b+ - a+ b on the single-excitation pair
     theta = np.pi / 2
-    b = mat_exp(g, scale=theta / 2.0)
+    b = mat_exp(1j * g, scale=-0.5j * theta)
     vec = b @ np.array([0.0, 1.0, 0.0, 0.0])
     np.testing.assert_allclose(vec, [0.0, np.cos(theta / 2), -np.sin(theta / 2), 0.0], atol=1e-14)
 
@@ -323,7 +330,8 @@ def test_mat_exp_sector_route_matches_taylor(anti):
     h = permuted_blocks([random_hermitian(d) for d in (1, 3, 2, 5, 1, 4)])
     assert sorted(len(b) for b in _sectors(h)) == [1, 1, 2, 3, 4, 5]
     g, scale = (-1j * h, 0.9) if anti else (h, -1j * 0.9)
-    np.testing.assert_allclose(mat_exp(g, scale=scale), taylor_exp(g, scale), rtol=0, atol=1e-12)
+    h, h_scale = (1j * g, scale / 1j) if anti else (g, scale)  # the Hermitian generator and its scale
+    np.testing.assert_allclose(mat_exp(h, scale=h_scale), taylor_exp(g, scale), rtol=0, atol=1e-12)
 
 
 def test_mat_exp_sector_pattern_is_exact():
