@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fieldprep import CouplingParam, SqueezeParam, binom_ladder
+from .fieldprep import CouplingParam, SqueezeParam, _whole, binom_ladder
 
 __all__ = [
     "AtomXState",
@@ -87,10 +87,7 @@ class WeightTable:
     def __init__(self, s, r, n_max: int) -> None:
         self.s = s if isinstance(s, SqueezeParam) else SqueezeParam(s)
         self.coupling = r if isinstance(r, CouplingParam) else CouplingParam(r)
-        n_max = int(n_max)
-        if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {n_max}")
-        self.n_max = n_max
+        self.n_max = n_max = _whole(n_max, "n_max", 0)
         self.ladder = binom_ladder(n_max + 1, self.coupling)
         powers = self.s.tanh ** np.arange(2 * n_max + 3, dtype=float)
         self.prefactor = powers / self.s.cosh**2
@@ -110,9 +107,7 @@ def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> AtomXState:
     lts = np.asarray(lambda_ts, dtype=float)
     if lts.ndim != 1:
         raise ValueError(f"lambda_ts must be one-dimensional, got shape {lts.shape}")
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _whole(n_max, "n_max", 1)
     if initial not in ("gg", "ee"):
         raise ValueError(f"initial must be 'gg' or 'ee', got {initial!r}")
     table = WeightTable(sq, cp, n_max)

@@ -39,6 +39,15 @@ __all__ = [
 N_MAX_FLOOR = 4
 
 
+def _whole(value, knob: str, low: int, error=ValueError) -> int:
+    """``value`` as an int; ``error``, naming ``knob``, if it is not whole or is below ``low``."""
+    if not (math.isfinite(value) and value == int(value)):
+        raise error(f"{knob} must be a whole number, got {value}")
+    if value < low:
+        raise error(f"{knob} must be >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SqueezeParam:
     """Dimensionless squeezing strength of the external source."""
@@ -107,10 +116,7 @@ class TruncationPolicy:
 
     def __post_init__(self) -> None:
         if self.n_max is not None:
-            n = int(self.n_max)
-            if n < 1:
-                raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-            object.__setattr__(self, "n_max", n)
+            object.__setattr__(self, "n_max", _whole(self.n_max, "n_max", 1))
         else:
             if self.tail_tol is None or not (float(self.tail_tol) > 0.0):
                 raise ValueError("need a positive tail_tol when n_max is not set")
@@ -151,7 +157,7 @@ def _square_views(sizes, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
 
 @dataclass(frozen=True)
 class CavityFieldState:
-    """Joint two-cavity field plus the parameters that generated it.
+    """Joint two-cavity field, with the ``s``/``policy`` its caller gave (or None).
 
     The field is held as disjoint diagonal blocks: pairs of (flat indices
     nA * (n_max + 1) + nB, square matrix over those indices), every matrix
@@ -164,9 +170,8 @@ class CavityFieldState:
     """
 
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    s: SqueezeParam
-    coupling: CouplingParam
-    policy: TruncationPolicy
+    s: SqueezeParam | None
+    policy: TruncationPolicy | None
     n_max: int
     tail_weight: float
 
@@ -339,27 +344,6 @@ def binom_ladder(n_top: int, coupling) -> np.ndarray:
     return ladder
 
 
-def _infer_squeeze(psi: StateVector) -> SqueezeParam:
-    """Squeezing of a two-mode squeezed vacuum, read off its twin amplitudes.
-
-    Any other input carries no squeezing to read, so it is refused with a
-    message naming the ``s=`` keyword that supplies one.
-    """
-    dim = psi.space.factor_dims[0]
-    amps = psi.amplitudes.reshape(dim, dim)
-    d0 = amps[0, 0].real
-    if d0 > 0.0:
-        t = amps[1, 1].real / d0 if dim > 1 else 0.0
-        # a squeezed vacuum is d0 * sum_n t^n |n, n> with 0 <= t < 1
-        squeezed = d0 * np.diag(t ** np.arange(dim))
-        if 0.0 <= t < 1.0 and np.max(np.abs(amps - squeezed)) <= 1e-12 * d0:
-            return SqueezeParam(math.atanh(t))
-    raise ValueError(
-        "cannot infer the squeezing of an input that is not a two-mode squeezed "
-        "vacuum; pass s= (and policy=) explicitly"
-    )
-
-
 def _check_two_mode(psi: StateVector) -> int:
     dims = psi.space.factor_dims
     if len(dims) != 2 or dims[0] != dims[1]:
@@ -380,7 +364,8 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
     the field's block over the sector's (nA, nA - delta) is the real B^T B,
     and nothing couples two sectors.  Only real amplitudes on the twin
     levels |n, n> enter, so any other input is refused: :func:`inject_oracle`
-    takes it.  ``s``/``policy`` default to values recovered from ``psi``.
+    takes it.  ``s`` (checked as a :class:`SqueezeParam`) and ``policy`` are
+    recorded on the field as given, None by default; no route reads them.
     """
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
@@ -391,7 +376,7 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
             "inject reads only real amplitudes on the twin levels |n, n>, and this input has "
             "others; use inject_oracle, which takes any two-mode input"
         )
-    s = _as_squeeze(s) if s is not None else _infer_squeeze(psi)
+    s = _as_squeeze(s) if s is not None else None
     n_max = dim - 1
     # levels zero-padded to twice the size, so n = nA + k needs no
     # clipping: every level past the cutoff carries a zero amplitude
@@ -412,8 +397,7 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
         np.matmul(block.T, block, out=view)
         indices.append(na * (dim + 1) - delta)  # flat index of |nA, nA - delta>
 
-    policy = policy if policy is not None else TruncationPolicy(n_max=n_max)
-    return CavityFieldState(_Blocks(zip(indices, views), flat), s, coupling, policy, n_max, psi.tail_weight)
+    return CavityFieldState(_Blocks(zip(indices, views), flat), s, policy, n_max, psi.tail_weight)
 
 
 def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldState:
@@ -431,12 +415,13 @@ def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityF
     a list of its nonzero entries.  Columns linked through shared nonzero
     rows form one block, and the externals are traced out with one Gram
     product per block, which is the field's block over those cavity pairs,
-    so an input that correlates any levels stays exact.
+    so an input that correlates any levels stays exact.  Any two-mode
+    input is taken, and ``s``/``policy`` are recorded as in :func:`inject`.
     Shares no code path with :func:`inject` beyond the exponential itself.
     """
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
-    s = _as_squeeze(s) if s is not None else _infer_squeeze(psi)
+    s = _as_squeeze(s) if s is not None else None
     n_max = dim - 1
 
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
@@ -476,5 +461,4 @@ def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityF
         sub[ri, ci] = vals[entries]
         np.matmul(sub.T, sub.conj(), out=view)
 
-    policy = policy if policy is not None else TruncationPolicy(n_max=n_max)
-    return CavityFieldState(_Blocks(zip(cavs, views), flat), s, coupling, policy, n_max, psi.tail_weight)
+    return CavityFieldState(_Blocks(zip(cavs, views), flat), s, policy, n_max, psi.tail_weight)

@@ -8,8 +8,8 @@ The only parameter is the product of coupling and transit time, lambda*t.
 This module is the slow, assumption-free reference path.  The transit
 only swaps |e, n-1> and |g, n> inside one photon-number doublet, so each
 row of the pair unitary holds at most two nonzeros: `evolve` +
-`reduce_atoms` forms the full composite from the field's blocks through
-gathers over them.  `reduce_atoms_series` contracts the field indices
+`reduce_atoms` forms the full composite from the field's blocks, one
+product per block.  `reduce_atoms_series` contracts the field indices
 pair by pair -- the same algebra without the composite -- for a whole
 vector of times, each cavity's field-traced propagator living on a few
 diagonals of the field's photon indices, so a time costs O(field_dim^2).
@@ -69,7 +69,7 @@ class AtomState:
             vec = np.array(state, dtype=complex).reshape(-1)
             if vec.size != 4:
                 raise ValueError(f"expected 4 amplitudes, got {vec.size}")
-            if abs(float(np.real(np.vdot(vec, vec))) - 1.0) > 1e-10:
+            if not abs(float(np.real(np.vdot(vec, vec))) - 1.0) <= 1e-10:
                 raise ValueError("atom state must be normalized")
             self.label = None
         self.vector = vec
@@ -158,9 +158,9 @@ def evolve(atoms: AtomState, field: CavityFieldState, lt: float, method: str = "
     Read from the field's blocks and the atoms' occupied basis states, never
     from ``field.rho``: a block over field indices idx enters on the rows
     (occupied atoms) x idx as kron(rho_atoms, block).  In pair order (atom
-    A, field A, atom B, field B) each row of U = kron(u, u) holds at most
-    four nonzeros, so U R U^dagger goes by gathers through them into the
-    rows U reaches, scatter-added into a zero output.  Only the output is
+    A, field A, atom B, field B) its share of U R U^dagger, U = kron(u, u),
+    is one product w R w^dagger, w being U's columns over the block's rows
+    on the rows they reach, added into a zero output.  Only the output is
     composite-sized (72 MB at s = 0.65); for the reduced atom state at
     large cutoffs use :func:`reduce_atoms_direct`.
     """
@@ -171,31 +171,20 @@ def evolve(atoms: AtomState, field: CavityFieldState, lt: float, method: str = "
     fdim = field.n_max + 1
     big = fdim + EVOLVE_PAD
     u = build(lt, big)
-    # each row of u through its nonzero columns first, then zero entries
-    width = np.count_nonzero(u, axis=1).max()
-    src = np.argsort(u == 0, axis=1, kind="stable")[:, :width]
-    amp = np.take_along_axis(u, src, axis=1)
     link = u != 0
 
     occupied = np.flatnonzero(atoms.vector)
-    chi = atoms.vector[occupied]
+    rho_atoms = atoms.density()[np.ix_(occupied, occupied)]
     out = np.zeros((4 * big * big,) * 2, dtype=complex)
     for idx, block in field.blocks:
-        # the block's rows in pair order (atoms slow), their places, and kron(rho_atoms, block)
+        # the block's rows in pair order, atoms slow as in kron(rho_atoms, block)
         f_a, f_b = np.divmod(idx, fdim)
         in_a = ((occupied[:, None] // 2) * big + f_a).reshape(-1)
         in_b = ((occupied[:, None] % 2) * big + f_b).reshape(-1)
-        place = np.full((2 * big, 2 * big), -1, dtype=np.intp)
-        place[in_a, in_b] = np.arange(in_a.size)
-        rho = (np.outer(chi, chi.conj())[:, None, :, None] * block[None, :, None, :]).reshape(in_a.size, in_a.size)
-        # the rows U reaches, each with its preimages; one outside the block
-        # (place -1) gets amplitude 0 and reads the block's last row harmlessly
-        n_a, n_b = np.nonzero(link @ (place >= 0) @ link.T)
-        pre = place[src[n_a][:, :, None], src[n_b][:, None, :]].reshape(n_a.size, width**2)
-        val = (amp[n_a][:, :, None] * amp[n_b][:, None, :]).reshape(n_a.size, width**2)
-        val[pre < 0] = 0.0
-        left = sum(val[:, k, None] * rho[pre[:, k]] for k in range(pre.shape[1]))
-        part = sum(left[:, pre[:, k]] * val[:, k].conj() for k in range(pre.shape[1]))
+        # the rows U reaches from them, and U's entries there
+        n_a, n_b = np.nonzero(link[:, in_a] @ link[:, in_b].T)
+        w = u[n_a][:, in_a] * u[n_b][:, in_b]
+        part = w @ np.kron(rho_atoms, block) @ w.conj().T
         # pair order (aA fA, aB fB) -> (aA, aB, fA, fB)
         at = np.ravel_multi_index((n_a // big, n_b // big, n_a % big, n_b % big), (2, 2, big, big))
         out[np.ix_(at, at)] += part

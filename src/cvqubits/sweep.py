@@ -22,7 +22,7 @@ import numpy as np
 
 from .analytic import negativity_closed_form, xstate_series
 from .entanglement import negativity_general
-from .fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
+from .fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, _whole, inject, squeezed_state
 from .jcdynamics import EVOLVE_PAD, SERIES_CHUNK, AtomState, reduce_atoms_series
 from .tensorops import PSD_FLOOR, _violations
 
@@ -88,8 +88,7 @@ class SweepConfig:
         for flag, value in (("lt-start", self.lt_start), ("lt-stop", self.lt_stop)):
             if not math.isfinite(value):
                 raise ConfigError(f"{flag} must be finite, got {value}")
-        if self.lt_steps < 1:
-            raise ConfigError(f"lt-steps must be >= 1, got {self.lt_steps}")
+        _whole(self.lt_steps, "lt-steps", 1, ConfigError)
         if self.lt_stop < self.lt_start:
             raise ConfigError(f"lt-stop {self.lt_stop} is below lt-start {self.lt_start}")
         if self.lt_start < 0.0:
@@ -103,8 +102,8 @@ class SweepConfig:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
             raise ConfigError(f"tail-tol must be finite and > 0, got {self.tail_tol}")
-        if self.n_max is not None and self.n_max < 1:
-            raise ConfigError(f"n-max must be >= 1, got {self.n_max}")
+        if self.n_max is not None:
+            _whole(self.n_max, "n-max", 1, ConfigError)
         policy = self.policy()
         try:
             n_top = max(policy.resolve(s)[0] for s in self.s_values)
@@ -130,7 +129,7 @@ class SweepConfig:
         return TruncationPolicy(tail_tol=self.tail_tol)
 
     def lt_values(self) -> np.ndarray:
-        return np.linspace(self.lt_start, self.lt_stop, self.lt_steps)
+        return np.linspace(self.lt_start, self.lt_stop, int(self.lt_steps))
 
 
 def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
@@ -221,7 +220,7 @@ def _walk(config: SweepConfig):
         n_max, tail = policy.resolve(sq)
         psi = squeezed_state(sq, policy) if use_oracle else None
         for r in config.r_values:
-            field = inject(psi, CouplingParam(r), s=sq, policy=policy) if use_oracle else None
+            field = inject(psi, CouplingParam(r)) if use_oracle else None
             for initial in config.initials:
                 gaps = dense = None
                 if use_oracle:

@@ -92,7 +92,7 @@ class StateVector:
     def validate(self, tol: float = 1e-10) -> None:
         """Raise ValueError unless the norm matches the declared deficit."""
         dev = abs(self.norm_sq() - (1.0 - self.tail_weight))
-        if dev > tol:
+        if not dev <= tol:
             raise ValueError(f"norm deficit off by {dev:.3e}")
 
 

@@ -170,6 +170,17 @@ def test_xstate_rejects_degenerate_cutoff():
         xstate_gg(0.65, 0.0, 1.0, 0)
 
 
+def test_xstate_and_weight_table_take_only_a_whole_cutoff():
+    # 2.9 used to be floored to 2 without a word
+    for bad in (2.9, math.nan):
+        with pytest.raises(ValueError, match="n_max must be a whole number"):
+            xstate_series(0.65, 0.25, [1.0], bad, "gg")
+        with pytest.raises(ValueError, match="n_max must be a whole number"):
+            WeightTable(0.65, 0.25, bad)
+    x = xstate_series(0.65, 0.25, [1.0], 3.0, "gg")
+    assert x.n_max == 3 and np.array_equal(x.a, xstate_series(0.65, 0.25, [1.0], 3, "gg").a)
+
+
 @pytest.mark.parametrize("initial", ["gg", "ee"])
 @pytest.mark.parametrize("s,r,lt", [(0.4, 0.3, 3.7), (0.65, 0.0, 11.0), (0.5, 0.9, 8.2)])
 def test_xstate_matches_dense_reduction(initial, s, r, lt):

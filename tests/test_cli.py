@@ -89,6 +89,17 @@ def test_run_sweep_both_engine_disagreement_column():
     assert worst_disagreement(rows) == rows[0].disagreement
 
 
+def test_sweep_config_refuses_a_count_that_is_not_whole():
+    # lt-steps 2.5 used to pass validate and fail in lt_values, and n-max 2.5
+    # to be floored to 2; each is refused, naming its knob
+    for knob, kwargs in (("lt-steps", {"lt_steps": 2.5}), ("lt-steps", {"lt_steps": math.nan}),
+                         ("n-max", {"n_max": 2.5}), ("n-max", {"n_max": math.inf})):
+        with pytest.raises(ConfigError, match=f"{knob} must be a whole number"):
+            SweepConfig(s_values=[0.3], **kwargs).validate()
+    whole = SweepConfig(s_values=[0.3], lt_stop=1.0, lt_steps=3.0, n_max=4.0).validate()
+    assert len(whole.lt_values()) == 3 and whole.policy().n_max == 4
+
+
 def test_sweep_config_validation_errors():
     with pytest.raises(ConfigError):
         SweepConfig().validate()  # no s values

@@ -75,6 +75,16 @@ def test_truncation_policy_floor_and_override():
     assert tail == pytest.approx(math.tanh(1.0) ** 16)
 
 
+def test_truncation_policy_takes_only_a_whole_cutoff():
+    # 2.7 used to be floored to 2 without a word
+    for bad in (2.7, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_max must be a whole number"):
+            TruncationPolicy(n_max=bad)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        TruncationPolicy(n_max=0)
+    assert TruncationPolicy(n_max=3.0).n_max == 3 and type(TruncationPolicy(n_max=np.int64(3)).n_max) is int
+
+
 # ------------------------------------------------------------ squeezed state
 
 
@@ -214,13 +224,11 @@ def reference_inject_oracle(psi, coupling):
 def test_inject_oracle_matches_full_product_reference(source, r):
     if source == "squeezed":
         psi = squeezed_state(SqueezeParam(0.65), TruncationPolicy(n_max=6))
-        kwargs = {}
     else:  # any two-mode input, not only the photon-number-correlated one
         rng = np.random.default_rng(31)
         vec = rng.normal(size=25) + 1j * rng.normal(size=25)
         psi = StateVector(TruncatedFockSpace((5, 5)), vec / np.linalg.norm(vec))
-        kwargs = {"s": SqueezeParam(0.0), "policy": TruncationPolicy(n_max=4)}
-    got = inject_oracle(psi, CouplingParam(r), **kwargs).rho.matrix
+    got = inject_oracle(psi, CouplingParam(r)).rho.matrix
     ref = reference_inject_oracle(psi, CouplingParam(r))
     assert np.max(np.abs(got - ref)) < 1e-13
 
@@ -255,7 +263,7 @@ def test_inject_oracle_blocks_match_full_product_reference(source, r):
         psi = squeezed_state(SqueezeParam(1.0), TruncationPolicy(n_max=6))
     else:
         psi = random_pair_state(7) if source == "random" else off_twin_state()
-    got = inject_oracle(psi, CouplingParam(r), s=SqueezeParam(0.0)).rho.matrix
+    got = inject_oracle(psi, CouplingParam(r)).rho.matrix
     ref = reference_inject_oracle(psi, CouplingParam(r))
     assert np.max(np.abs(got - ref)) < 1e-13
 
@@ -265,18 +273,24 @@ def test_inject_oracle_blocks_match_full_product_reference(source, r):
     [StateVector(TruncatedFockSpace((2, 2)), [0.0, 1.0, 0.0, 0.0]), random_pair_state(3)],
     ids=["one-photon", "random"],
 )
-def test_squeezing_is_inferred_only_from_a_squeezed_vacuum(psi):
-    # |0, 1> and a random input carry no squeezing to read: one ValueError
-    # naming s=, and with s= given the oracle runs; inject reads only the
+def test_oracle_takes_any_two_mode_input_without_s(psi):
+    # |0, 1> and a random input carry no squeezing: the oracle takes them
+    # without s= and records s and policy as given; inject reads only the
     # twin levels, so it refuses both inputs, with or without s=
-    with pytest.raises(ValueError, match="s="):
-        inject_oracle(psi, CouplingParam(0.5))
-    assert inject_oracle(psi, CouplingParam(0.5), s=SqueezeParam(0.2)).s == SqueezeParam(0.2)
+    field = inject_oracle(psi, CouplingParam(0.5))
+    assert field.s is None and field.policy is None
+    assert field.rho.trace().real == pytest.approx(psi.norm_sq(), abs=1e-13)
+    ref = reference_inject_oracle(psi, CouplingParam(0.5))
+    assert np.max(np.abs(field.rho.matrix - ref)) < 1e-13
+    policy = TruncationPolicy(n_max=4)
+    given = inject_oracle(psi, CouplingParam(0.5), s=0.2, policy=policy)
+    assert given.s == SqueezeParam(0.2) and given.policy is policy
+    assert np.array_equal(given.rho.matrix, field.rho.matrix)
+    with pytest.raises(ValueError, match="squeezing parameter"):
+        inject_oracle(psi, CouplingParam(0.5), s=-1.0)
     for kwargs in ({}, {"s": SqueezeParam(0.2)}):
         with pytest.raises(ValueError, match="inject_oracle"):
             inject(psi, CouplingParam(0.5), **kwargs)
-    field = inject_oracle(psi, CouplingParam(0.5), s=SqueezeParam(0.2))
-    assert field.rho.trace().real == pytest.approx(psi.norm_sq(), abs=1e-13)
 
 
 def phased_twin_state(phase=0.7, s=0.65, n_max=4):
@@ -296,7 +310,7 @@ def test_inject_refuses_an_input_it_cannot_read(source):
     psi = off_twin_state() if source == "off-twin" else phased_twin_state()
     with pytest.raises(ValueError, match="inject_oracle"):
         inject(psi, CouplingParam(0.3), s=SqueezeParam(0.65))
-    field = inject_oracle(psi, CouplingParam(0.3), s=SqueezeParam(0.65))
+    field = inject_oracle(psi, CouplingParam(0.3))
     assert field.rho.trace().real == pytest.approx(psi.norm_sq(), abs=1e-13)
     ref = reference_inject_oracle(psi, CouplingParam(0.3))
     assert np.max(np.abs(field.rho.matrix - ref)) < 1e-13

@@ -75,6 +75,13 @@ def test_atom_state_labels_and_vectors():
         AtomState(np.array([1.0, 0.0, 0.0]))  # not four amplitudes
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_atom_state_refuses_amplitudes_that_are_not_finite(bad):
+    # a NaN norm deviation compares False against any bound; it must still fail
+    with pytest.raises(ValueError, match="normalized"):
+        AtomState([bad, 0.0, 0.0, 0.0])
+
+
 def test_atom_state_copies_its_amplitudes():
     # a later write to the caller's array must not reach the checked state
     chi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)

@@ -39,3 +39,20 @@ def test_benchmark_runs_traced_against_the_package(tmp_path):
     layers = json.loads(result.read_text(encoding="utf-8"))["layers"]
     assert isinstance(layers, dict)
     assert layers["sweep.points"] > 0 and layers["analytic.weight_table_builds"] > 0
+
+
+def test_benchmark_referee_passes_against_the_package(tmp_path, monkeypatch):
+    # the benchmark's referee drives inject, inject_oracle (with their s=/policy=
+    # keywords) and the composite evolve: all 85 of its operations must pass
+    repo = Path(__file__).resolve().parents[1]
+    result = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "bench" / "child.py"), str(repo), "pass", "referee", "0",
+         str(result), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.syspath_prepend(str(repo / "bench"))
+    checks = importlib.import_module("checks")
+    records = json.loads(result.read_text(encoding="utf-8"))["records"]
+    assert checks.check_referee(records, 0) == (85, 0)

@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cvqubits.analytic import negativity_closed_form, xstate_series  # noqa: E402
+from cvqubits.entanglement import negativity_general  # noqa: E402
 from cvqubits.fieldprep import (  # noqa: E402
     CouplingParam,
     SqueezeParam,
@@ -19,6 +20,7 @@ from cvqubits.fieldprep import (  # noqa: E402
     squeezed_state,
 )
 from cvqubits.jcdynamics import AtomState, evolve, reduce_atoms, reduce_atoms_series  # noqa: E402
+from cvqubits.tensorops import PSD_FLOOR, _violations  # noqa: E402
 from test_fieldprep import random_pair_state, reference_inject_oracle  # noqa: E402
 from test_jcdynamics import reference_evolve  # noqa: E402
 
@@ -36,6 +38,35 @@ def test_inject_oracle_agrees_with_inject(s, r, n_max):
     assert np.max(np.abs(slow.rho.matrix - fast.rho.matrix)) <= 1e-12
     slow.rho.validate()
     assert slow.rho.trace().real == pytest.approx(1.0 - slow.tail_weight, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.floats(0.0, 1.0),
+    r=st.floats(0.0, 1.0),
+    n_max=st.integers(1, 12),
+    lts=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6),
+    initial=st.sampled_from(["gg", "ee"]),
+)
+def test_engines_agree_over_drawn_inputs(s, r, n_max, lts, initial):
+    # the dense series on the injected field against the closed form, at the
+    # same cutoff: every X element and the measure (verify's worst is 7.8e-16)
+    field = inject(squeezed_state(SqueezeParam(s), TruncationPolicy(n_max=n_max)), CouplingParam(r))
+    dense = reduce_atoms_series(AtomState(initial), field, lts)
+    x = xstate_series(s, r, lts, n_max, initial)
+    closed = negativity_closed_form(x)
+    measure = negativity_general(dense).measure
+    ours = np.stack((x.a, x.b, x.c, x.d, x.e_coh, closed), axis=1)
+    theirs = np.column_stack((dense[:, [0, 1, 2, 3, 0], [0, 1, 2, 3, 3]].real, measure))
+    assert np.max(np.abs(ours - theirs)) <= 1e-12
+    # the dense states are physical on their own: trace 1 - tail, equal
+    # cross populations, and every invariant verify checks, at its tolerances
+    tail = x.tail_weight
+    assert field.tail_weight == tail
+    assert np.max(np.abs(np.trace(dense, axis1=1, axis2=2) - (1.0 - tail))) <= 1e-12
+    assert np.max(np.abs(dense[:, 1, 1] - dense[:, 2, 2])) <= 1e-14
+    assert _violations(dense, tail, herm_tol=1e-10, psd_floor=PSD_FLOOR, trace_tol=1e-10) == [None] * len(lts)
+    assert np.all((measure >= 0.0) & (measure <= 1.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,7 +125,7 @@ def test_series_on_the_blocks_equals_the_composite_on_the_dense_view(s, r, n_max
         field = inject(squeezed_state(SqueezeParam(s), TruncationPolicy(n_max=n_max)), CouplingParam(r))
     else:
         psi = random_pair_state(seed, n_max + 1, sparsity=0.7)
-        field = inject_oracle(psi, CouplingParam(r), s=SqueezeParam(s))
+        field = inject_oracle(psi, CouplingParam(r))
     atoms = AtomState(initial)
     stack = reduce_atoms_series(atoms, field, lts)
     for lt, got in zip(lts, stack):
@@ -122,7 +153,7 @@ def test_composite_by_blocks_equals_the_literal_kron_on_the_dense_view(s, r, n_m
         field = inject(squeezed_state(SqueezeParam(s), TruncationPolicy(n_max=n_max)), CouplingParam(r))
     else:
         psi = random_pair_state(seed, n_max + 1, sparsity=0.7)
-        field = inject_oracle(psi, CouplingParam(r), s=SqueezeParam(s))
+        field = inject_oracle(psi, CouplingParam(r))
     if one_block:
         field = replace(field, blocks=((np.arange((n_max + 1) ** 2), field.rho.matrix),))
     atoms = AtomState(np.array([0.5, 0.5j, -0.5, 0.5j]) if initial == "superposition" else initial)
@@ -140,5 +171,5 @@ def test_composite_by_blocks_equals_the_literal_kron_on_the_dense_view(s, r, n_m
 )
 def test_oracle_dense_view_equals_the_full_product_reference(r, n_max, seed, sparsity):
     psi = random_pair_state(seed, n_max + 1, sparsity)
-    got = inject_oracle(psi, CouplingParam(r), s=SqueezeParam(0.0)).rho.matrix
+    got = inject_oracle(psi, CouplingParam(r)).rho.matrix
     assert np.max(np.abs(got - reference_inject_oracle(psi, CouplingParam(r)))) <= 1e-12

@@ -57,6 +57,17 @@ def test_state_vector_declared_deficit():
         bad.validate()
 
 
+@pytest.mark.parametrize(
+    "amps,tail",
+    [([np.nan, 0.0], 0.0), ([np.inf, 0.0], 0.0), ([1.0, 0.0], np.nan), ([np.sqrt(0.9), 0.0], np.inf)],
+    ids=["nan-amplitude", "inf-amplitude", "nan-tail", "inf-tail"],
+)
+def test_state_vector_validate_refuses_values_that_are_not_finite(amps, tail):
+    # NaN compares False against the tolerance; validate must not read that as a pass
+    with pytest.raises(ValueError, match="norm deficit"):
+        StateVector(TruncatedFockSpace((2,)), amps, tail_weight=tail).validate()
+
+
 def test_state_vector_shape_mismatch():
     with pytest.raises(ValueError):
         StateVector(TruncatedFockSpace((4,)), np.zeros(3))
