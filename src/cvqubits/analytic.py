@@ -82,25 +82,41 @@ class WeightTable:
     :func:`fieldprep.binom_ladder`, so ``rows[n]`` is ``ladder[n, n::-1]``.
     Rows run one level past n_max because the corner coherence couples
     neighbouring levels.
+
+    A caller that walks many cutoffs at one r may pass a ``ladder`` built
+    once at its top cutoff: its top-left (n_max+2)-square corner is then
+    the table's ladder, bit for bit, with nothing copied.  A ladder too
+    small for n_max, or built for another r, is refused.
     """
 
-    def __init__(self, s, r, n_max: int) -> None:
+    def __init__(self, s, r, n_max: int, ladder=None) -> None:
         self.s = s if isinstance(s, SqueezeParam) else SqueezeParam(s)
-        self.coupling = r if isinstance(r, CouplingParam) else CouplingParam(r)
+        self.coupling = cp = r if isinstance(r, CouplingParam) else CouplingParam(r)
         self.n_max = n_max = _whole(n_max, "n_max", 0)
-        self.ladder = binom_ladder(n_max + 1, self.coupling)
+        if ladder is None:
+            ladder = binom_ladder(n_max + 1, cp)
+        elif min(ladder.shape) < n_max + 2:
+            raise ValueError(f"ladder of shape {ladder.shape} is too small for n_max {n_max}")
+        # level 1 takes binom_ladder's exact branch: its entries are r and sqrt(1 - r^2) exactly
+        elif ladder[1, 0] != cp.cos_half or ladder[1, 1] != cp.sin_half:
+            raise ValueError(f"ladder was not built for r = {cp.r}")
+        self.ladder = ladder[: n_max + 2, : n_max + 2]
         powers = self.s.tanh ** np.arange(2 * n_max + 3, dtype=float)
         self.prefactor = powers / self.s.cosh**2
 
 
-def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> AtomXState:
+def xstate_series(s, r, lambda_ts, n_max: int, initial: str, ladder=None) -> AtomXState:
     """Reduced atom state at every interaction time in ``lambda_ts``, as (T,) arrays.
 
-    One weight table serves the whole series.  A Rabi angle depends only on
-    the rung j of the table's ladder, so each ladder sum -- exchange,
-    survival and the corner amplitude, for every level and time at once --
-    is one product of a (level x rung) weight matrix with a (rung x time)
-    trig table.  Each element is then an exactly rounded sum over levels.
+    One weight table serves the whole series.  Its splitting ladder is
+    built here, or read off the top-left corner of a ``ladder`` that
+    ``fieldprep.binom_ladder`` built for the same r at a cutoff of at
+    least n_max + 1 (see :class:`WeightTable`), with the same result bit
+    for bit.  A Rabi angle depends only on the rung j of the table's
+    ladder, so each ladder sum -- exchange, survival and the corner
+    amplitude, for every level and time at once -- is one product of a
+    (level x rung) weight matrix with a (rung x time) trig table.  Each
+    element is then an exactly rounded sum over levels.
     """
     sq = s if isinstance(s, SqueezeParam) else SqueezeParam(s)
     cp = r if isinstance(r, CouplingParam) else CouplingParam(r)
@@ -110,7 +126,7 @@ def xstate_series(s, r, lambda_ts, n_max: int, initial: str) -> AtomXState:
     n_max = _whole(n_max, "n_max", 1)
     if initial not in ("gg", "ee"):
         raise ValueError(f"initial must be 'gg' or 'ee', got {initial!r}")
-    table = WeightTable(sq, cp, n_max)
+    table = WeightTable(sq, cp, n_max, ladder)
     ladder = table.ladder
     levels = n_max + 1
     # an excited atom rides the ladder one rung higher than a ground one

@@ -22,7 +22,7 @@ import numpy as np
 
 from .analytic import negativity_closed_form, xstate_series
 from .entanglement import negativity_general
-from .fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, _whole, inject, squeezed_state
+from .fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, _whole, binom_ladder, inject, squeezed_state
 from .jcdynamics import EVOLVE_PAD, SERIES_CHUNK, AtomState, reduce_atoms_series
 from .tensorops import PSD_FLOOR, _violations
 
@@ -114,12 +114,13 @@ class SweepConfig:
             raise ConfigError(
                 f"lt-stop {self.lt_stop} overflows the largest Rabi angle; lower --lt-stop"
             )
-        need = _peak_bytes(n_top, self.lt_steps, self.engine)
+        # the walk holds one ladder per distinct r (0.0 and -0.0 are one)
+        need = _peak_bytes(n_top, self.lt_steps, self.engine, len(set(self.r_values)))
         if need > MEMORY_BUDGET:
             raise ConfigError(
                 f"estimated peak memory {need / 2**30:.3g} GiB at n_max {n_top} exceeds the "
-                f"{MEMORY_BUDGET / 2**30:.3g} GiB budget; lower --n-max, raise --tail-tol "
-                f"or take fewer --lt-steps"
+                f"{MEMORY_BUDGET / 2**30:.3g} GiB budget; lower --n-max, raise --tail-tol, "
+                f"take fewer --lt-steps or take fewer --r values"
             )
         return self
 
@@ -132,11 +133,14 @@ class SweepConfig:
         return np.linspace(self.lt_start, self.lt_stop, int(self.lt_steps))
 
 
-def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
-    """Peak bytes of one (s, r) group at cutoff n_max, from the array shapes.
+def _peak_bytes(n_max: int, lt_steps: int, engine: str, r_count: int = 1) -> int:
+    """Peak bytes of a walk at top cutoff n_max over r_count distinct r, from the array shapes.
 
-    The analytic series holds its (n+2)-square splitting ladder and one
-    product of it at a time, 16 (n+2)^2 B; 72 B per (rung, time) in its
+    The analytic engine holds one (n+2)-square splitting ladder per r for
+    the whole walk, 8 (n+2)^2 B each, and one ladder-sized product of a
+    series next to them: 16 (n+2)^2 B for one r (tracemalloc over ten
+    values of r at n_max 314 and one time: 8.93 MB, against 9.07 MB
+    estimated).  A series takes 72 B per (rung, time) in its
     trig tables, level sums and their temporaries; 64 B per time for the
     returned arrays (tracemalloc: 56 B at n_max 1); and up to 256 KiB of
     numpy buffers (tracemalloc: 1.74 MB at n_max 314 with one time, 9.5 MB
@@ -159,7 +163,7 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str) -> int:
     need = 0
     if engine in ("analytic", "both"):
         rungs = n_max + 2
-        need += 16 * rungs**2 + (72 * rungs + 64) * lt_steps + 2**18
+        need += 8 * rungs**2 * (r_count + 1) + (72 * rungs + 64) * lt_steps + 2**18
     if engine in ("oracle", "both"):
         chunk = min(lt_steps, SERIES_CHUNK)
         need += 8 * ((n_max + 1) ** 2 + n_max * (n_max + 1) * (2 * n_max + 1) // 3)
@@ -209,12 +213,18 @@ def _walk(config: SweepConfig):
     SERIES_CHUNK at a time and whose (T, 4, 4) stack comes along with the
     rows (None for the analytic engine alone).  The oracle injects one
     field when an (s, r) group starts and drops it when the group ends.
+    The analytic engine builds one splitting ladder per r, the first time
+    it meets that r, at the walk's top cutoff, and keeps it for the whole
+    walk: the ladder does not depend on s, and every series reads its
+    top-left corner.
     """
     config.validate()
     policy = config.policy()
     lts = config.lt_values()
     use_analytic = config.engine in ("analytic", "both")
     use_oracle = config.engine in ("oracle", "both")
+    n_top = max(policy.resolve(s)[0] for s in config.s_values)
+    ladders = {}
     for s in config.s_values:
         sq = SqueezeParam(s)
         n_max, tail = policy.resolve(sq)
@@ -230,7 +240,9 @@ def _walk(config: SweepConfig):
                     measure = np.full(len(lts), np.nan)
                     measure[hermitian] = negativity_general(dense[hermitian]).measure
                 if use_analytic:
-                    x = xstate_series(s, r, lts, n_max, initial)
+                    if r not in ladders:
+                        ladders[r] = binom_ladder(n_top + 1, CouplingParam(r))
+                    x = xstate_series(s, r, lts, n_max, initial, ladders[r])
                     closed = negativity_closed_form(x)
                     if use_oracle:
                         # worst distance over the X elements a, b, c, d, e_coh and the measure

@@ -15,6 +15,7 @@ from cvqubits.fieldprep import (
     CouplingParam,
     SqueezeParam,
     TruncationPolicy,
+    binom_ladder,
     binom_row,
     inject,
     squeezed_state,
@@ -179,6 +180,45 @@ def test_xstate_and_weight_table_take_only_a_whole_cutoff():
             WeightTable(0.65, 0.25, bad)
     x = xstate_series(0.65, 0.25, [1.0], 3.0, "gg")
     assert x.n_max == 3 and np.array_equal(x.a, xstate_series(0.65, 0.25, [1.0], 3, "gg").a)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.25, 0.7, 1.0])
+def test_weight_table_reads_the_corner_of_a_given_ladder(r):
+    # one ladder at the top cutoff serves every smaller one, bit for bit and without a copy
+    top = binom_ladder(43, CouplingParam(r))
+    for n_max in (1, 4, 20, 42):
+        table = WeightTable(0.65, r, n_max, top)
+        assert np.shares_memory(table.ladder, top)
+        assert np.array_equal(table.ladder, WeightTable(0.65, r, n_max).ladder)
+        for initial in ("gg", "ee"):
+            shared = xstate_series(0.65, r, [0.0, 3.3, 11.0], n_max, initial, top)
+            alone = xstate_series(0.65, r, [0.0, 3.3, 11.0], n_max, initial)
+            for name in ("a", "b", "c", "d", "e_coh"):
+                assert np.array_equal(getattr(shared, name), getattr(alone, name))
+
+
+def test_weight_table_refuses_a_ladder_too_small_for_the_cutoff():
+    ladder = binom_ladder(10, CouplingParam(0.25))  # levels 0..10 serve n_max up to 9
+    xstate_series(0.65, 0.25, [1.0], 9, "gg", ladder)
+    for short in (ladder, ladder[:10], ladder[:, :10]):
+        n_max = 10 if short is ladder else 9
+        with pytest.raises(ValueError, match="too small for n_max"):
+            xstate_series(0.65, 0.25, [1.0], n_max, "gg", short)
+        with pytest.raises(ValueError, match="too small for n_max"):
+            WeightTable(0.65, 0.25, n_max, short)
+
+
+def test_weight_table_refuses_a_ladder_built_for_another_r():
+    for other in (0.0, 0.7, 1.0, math.nextafter(0.25, 1.0)):
+        ladder = binom_ladder(10, CouplingParam(other))
+        with pytest.raises(ValueError, match="not built for r = 0.25"):
+            xstate_series(0.65, 0.25, [1.0], 5, "ee", ladder)
+        with pytest.raises(ValueError, match="not built for r = 0.25"):
+            WeightTable(0.65, 0.25, 5, ladder)
+    # -0.0 and 0.0 are one reflection, and one ladder serves both
+    zero = binom_ladder(10, CouplingParam(0.0))
+    assert np.array_equal(xstate_series(0.65, -0.0, [1.0], 5, "ee", zero).e_coh,
+                          xstate_series(0.65, -0.0, [1.0], 5, "ee").e_coh)
 
 
 @pytest.mark.parametrize("initial", ["gg", "ee"])

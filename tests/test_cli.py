@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cvqubits.analytic as analytic_mod
 import cvqubits.sweep as sweep_mod
 from cvqubits.analytic import negativity_closed_form, xstate_series
 from cvqubits.cli import main
 from cvqubits.entanglement import negativity_general
-from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
+from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, binom_ladder, inject, squeezed_state
 from cvqubits.jcdynamics import SERIES_CHUNK, AtomState, reduce_atoms_direct, reduce_atoms_series
 from cvqubits.tensorops import DensityOperator, TruncatedFockSpace
 from cvqubits.sweep import (
@@ -27,6 +28,9 @@ from cvqubits.sweep import (
 )
 
 SMALL = ["--s", "0.3", "--r", "0,0.7", "--lt-stop", "2", "--lt-steps", "2"]
+# a repeated r, and -0.0 next to 0.0: three distinct reflections
+SIGNED = SweepConfig(s_values=[0.3, 0.65, 1.0, 2.0], r_values=[-0.0, 0.0, 0.25, 1.0, 0.25],
+                     lt_stop=15.0, lt_steps=16, initials=("gg", "ee"))
 
 
 # ----------------------------------------------------------------- sweeping
@@ -50,6 +54,53 @@ def test_run_sweep_emission_order():
     key = [(r.s, r.r, r.initial, r.lambda_t) for r in rows]
     assert key == sorted(key, key=lambda k: (k[0], k[1], {"gg": 0, "ee": 1}[k[2]], k[3]))
     assert len(rows) == 16
+
+
+@pytest.mark.parametrize("config", [preset_config("fig2"), SIGNED], ids=["fig2", "signed"])
+def test_shared_ladders_change_no_bit(config, monkeypatch):
+    # every series of the walk reads its r's one ladder; each must equal,
+    # element for element, a series that builds its own
+    seen = []
+
+    def recorded(*args):
+        seen.append(xstate_series(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(sweep_mod, "xstate_series", recorded)
+    rows = run_sweep(config)
+    steps = config.lt_steps
+    assert len(seen) * steps == len(rows)
+    for i, x in enumerate(seen):
+        group = rows[i * steps : (i + 1) * steps]
+        first = group[0]
+        alone = xstate_series(first.s, first.r, config.lt_values(), first.n_max, first.initial)
+        for name in ("a", "b", "c", "d", "e_coh", "lambda_t"):
+            assert np.array_equal(getattr(x, name), getattr(alone, name)), (first, name)
+        assert x.tail_weight == alone.tail_weight
+        assert [row.measure for row in group] == negativity_closed_form(alone).tolist()
+
+
+@pytest.mark.parametrize("config,built", [
+    (preset_config("fig2"), 3),
+    (SIGNED, 3),
+    (default_verify_config(), 4),
+    (replace(default_verify_config(), engine="oracle"), 0),
+], ids=["fig2", "signed", "verify", "oracle"])
+def test_walk_builds_one_ladder_per_distinct_r(config, built, monkeypatch):
+    # at the walk's top cutoff, whatever the s; the oracle engine alone builds none
+    calls = []
+
+    def counted(n_top, coupling):
+        calls.append((n_top, coupling.r))
+        return binom_ladder(n_top, coupling)
+
+    monkeypatch.setattr(sweep_mod, "binom_ladder", counted)
+    monkeypatch.setattr(analytic_mod, "binom_ladder", counted)
+    run_sweep(config)
+    assert len(calls) == built
+    n_top = max(config.policy().resolve(s)[0] for s in config.s_values)
+    assert {n for n, _ in calls} <= {n_top + 1}
+    assert len({r for _, r in calls}) == built
 
 
 def test_oracle_rows_equal_the_per_point_dense_route():
@@ -208,6 +259,36 @@ def test_walk_memory_estimate_covers_measured_peak(engine):
         tracemalloc.stop()
     n_max, _ = config.policy().resolve(SqueezeParam(0.3))
     assert peak <= sweep_mod._peak_bytes(n_max, config.lt_steps, engine)
+
+
+def test_walk_memory_estimate_covers_one_ladder_per_r():
+    # ten values of r at fig2's top squeezing: the walk holds ten (n_top+2)-square ladders
+    config = SweepConfig(s_values=[1.0, 2.0], r_values=[round(0.1 * i, 10) for i in range(10)],
+                         lt_start=11.0, lt_stop=11.0, engine="analytic")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in sweep_mod._walk(config):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    estimate = sweep_mod._peak_bytes(314, config.lt_steps, "analytic", 10)
+    assert peak <= estimate <= 2 * peak
+
+
+def test_budget_counts_one_ladder_per_distinct_r():
+    # one r: refused from --n-max 11 581; three: from 8 189, and -0.0 is 0.0
+    three = [0.0, 0.25, 0.7]
+    for r_values, n_ok in (([0.25], 11580), (three, 8188), ([-0.0, 0.0, 0.25, 0.7, 0.25], 8188)):
+        SweepConfig(s_values=[0.5], r_values=r_values, n_max=n_ok).validate()
+        with pytest.raises(ConfigError, match="GiB budget; lower --n-max, raise --tail-tol, "
+                                              "take fewer --lt-steps or take fewer --r values"):
+            SweepConfig(s_values=[0.5], r_values=r_values, n_max=n_ok + 1).validate()
+    # s = 3.7 (n_max 9417 at the default tail) fits one r, but not three
+    SweepConfig(s_values=[3.7]).validate()
+    with pytest.raises(ConfigError, match="fewer --r values"):
+        SweepConfig(s_values=[3.7], r_values=three).validate()
 
 
 def test_standard_grids_fit_the_memory_budget():
@@ -410,6 +491,7 @@ def test_cli_rejects_an_analytic_ladder_over_the_memory_budget(monkeypatch, caps
     def started(*args, **kwargs):
         raise AssertionError("validate let the run start")
 
+    monkeypatch.setattr(sweep_mod, "binom_ladder", started)
     monkeypatch.setattr(sweep_mod, "xstate_series", started)
     assert main(["sweep", "--s", "0.5", "--n-max", "20000"]) == 1
     captured = capsys.readouterr()

@@ -71,6 +71,24 @@ def test_engines_agree_over_drawn_inputs(s, r, n_max, lts, initial):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    x=st.floats(0.0, 1.0),
+    n_max=st.integers(1, 12),
+    lts=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6),
+    initial=st.sampled_from(["gg", "ee"]),
+)
+def test_dense_measure_vanishes_without_shared_light(x, n_max, lts, initial):
+    # full reflection (r = 1) or no squeezing (s = 0) leaves nothing to
+    # share: the oracle's measure is exactly +0.0, as the closed form's is
+    policy = TruncationPolicy(n_max=n_max)
+    for s, r in ((x, 1.0), (0.0, x)):
+        field = inject(squeezed_state(SqueezeParam(s), policy), CouplingParam(r))
+        measure = negativity_general(reduce_atoms_series(AtomState(initial), field, lts)).measure
+        for m in measure.tolist():
+            assert m == 0.0 and math.copysign(1.0, m) == 1.0, (s, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     s=st.floats(0.0, 1.5),
     r=st.floats(0.0, 1.0),
     n_max=st.integers(1, 8),
