@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensorops import DensityOperator, StateVector, TruncatedFockSpace, _component_labels, mat_exp
+from .tensorops import DensityOperator, StateVector, TruncatedFockSpace, _component_labels
 
 __all__ = [
     "SqueezeParam",
@@ -150,9 +150,10 @@ class _Blocks(tuple):
 
 def _square_views(sizes, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
     """One flat buffer and a square view of it per size, back to back."""
-    ends = np.cumsum(np.square(sizes, dtype=np.intp))
-    flat = np.empty(int(ends[-1]) if len(ends) else 0, dtype)
-    return flat, [flat[e - k * k : e].reshape(k, k) for k, e in zip(sizes, ends.tolist())]
+    sizes = np.asarray(sizes, dtype=np.intp)  # an empty list would come in as float64
+    ends = np.cumsum(sizes * sizes)
+    flat = np.empty(int(ends[-1]) if ends.size else 0, dtype)
+    return flat, [flat[e - k * k : e].reshape(k, k) for k, e in zip(sizes.tolist(), ends.tolist())]
 
 
 @dataclass(frozen=True)
@@ -400,41 +401,53 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
     return CavityFieldState(_Blocks(zip(indices, views), flat), s, policy, n_max, psi.tail_weight)
 
 
-def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldState:
-    """Same cavity field through the explicit beam-splitter unitary.
+def _splitter_columns(coupling: CouplingParam, dim: int) -> np.ndarray:
+    """reach[n, e] = <e, n - e| U |n, 0> for n < dim: the splitter's column of input level n.
 
-    Each (external, cavity) mode pair passes exp[(theta/2)(c f+ - c+ f)].
+    Each (external, cavity) mode pair passes U = exp[(theta/2)(c f+ - c+ f)].
     The ladder operator only lowers by one, so the generator keeps each
-    pair's total n = e + c, and the pair states with n <= n_max are an
-    invariant subspace holding everything the input reaches.  The generator
-    is built there one total at a time, from the same entries of ``a`` that
-    kron(a.T, a) - kron(a, a.T) holds, and exponentiated block by block
-    (as the Hermitian i G, at scale -i theta/2); input level n meets only
-    the |n, 0> column of its block.  The
-    (externals x cavities) amplitude matrix is formed from those columns as
-    a list of its nonzero entries.  Columns linked through shared nonzero
-    rows form one block, and the externals are traced out with one Gram
-    product per block, which is the field's block over those cavity pairs,
-    so an input that correlates any levels stays exact.  Any two-mode
-    input is taken, and ``s``/``policy`` are recorded as in :func:`inject`.
-    Shares no code path with :func:`inject` beyond the exponential itself.
+    pair's total n = e + c, and the pair states with total n form one
+    invariant block.  The generator is built there one total at a time,
+    from the same entries of ``a`` that kron(a.T, a) - kron(a, a.T) holds;
+    as the Hermitian i G it is one connected tridiagonal block, so one
+    ``eigh`` per total gives the exponential at scale -i theta/2, of which
+    only the |n, 0> column is formed.  Entries with e > n are 0.
     """
-    coupling = _as_coupling(coupling)
-    dim = _check_two_mode(psi)
-    s = _as_squeeze(s) if s is not None else None
-    n_max = dim - 1
-
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     lower, upper = np.nonzero(a)
     assert np.array_equal(upper, lower + 1), "a must lower the photon number by one"
-    # reach[n, e] = <e, n - e| U |n, 0>, one column of block n per level
+    scale = -0.5j * coupling.theta
     reach = np.zeros((dim, dim))
     for n in range(dim):
         i = np.arange(n + 1)[:, None]  # row |i, n - i>, column |j, n - j>
         j = i.T
         # kron(a.T, a) - kron(a, a.T) between those pair states
         block = a[j, i] * a[n - i, n - j] - a[i, j] * a[n - j, n - i]
-        reach[n, : n + 1] = mat_exp(1j * block, scale=-0.5j * coupling.theta)[:, n].real
+        w, v = np.linalg.eigh(1j * block)
+        reach[n, : n + 1] = ((v * np.exp(scale * w)) @ v[n].conj()).real
+    return reach
+
+
+def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldState:
+    """Same cavity field through the explicit beam-splitter unitary.
+
+    Each (external, cavity) mode pair passes exp[(theta/2)(c f+ - c+ f)],
+    which keeps each pair's total n = e + c, so input level n meets only
+    the |n, 0> column of the total-n block (:func:`_splitter_columns`,
+    one ``eigh`` of the generator per total).  The
+    (externals x cavities) amplitude matrix is formed from those columns as
+    a list of its nonzero entries.  Columns linked through shared nonzero
+    rows form one block, and the externals are traced out with one Gram
+    product per block, which is the field's block over those cavity pairs,
+    so an input that correlates any levels stays exact.  Any two-mode
+    input is taken, and ``s``/``policy`` are recorded as in :func:`inject`.
+    Borrows nothing from :func:`inject`'s closed form: the splitter comes
+    from diagonalising its generator, not from the binomial amplitudes.
+    """
+    coupling = _as_coupling(coupling)
+    dim = _check_two_mode(psi)
+    s = _as_squeeze(s) if s is not None else None
+    reach = _splitter_columns(coupling, dim)
 
     # amplitude of (externals eA, eB) x (cavities n_A - eA, n_B - eB), one
     # (level x level) slab per nonzero input amplitude; no two slabs share an entry
@@ -446,19 +459,35 @@ def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityF
     rows = ea * dim + eb
     cols = (na[k] - ea) * dim + (nb[k] - eb)
 
-    # cavity pairs are nodes 0..dim^2 - 1, external pairs the dim^2 after them
-    label = _component_labels(cols, rows + dim * dim, 2 * dim * dim)[cols]
-    order = np.argsort(label, kind="stable")
-    cavs, parts = [], []
-    for entries in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-        ext, ri = np.unique(rows[entries], return_inverse=True)
-        cav, ci = np.unique(cols[entries], return_inverse=True)
-        cavs.append(cav)
-        parts.append((entries, ext.size, ri, ci))
-    flat, views = _square_views([cav.size for cav in cavs], complex)
-    for (entries, n_ext, ri, ci), view in zip(parts, views):
-        sub = np.zeros((n_ext, len(view)), dtype=complex)
-        sub[ri, ci] = vals[entries]
-        np.matmul(sub.T, sub.conj(), out=view)
+    # cavity pairs are nodes 0..dim^2 - 1, external pairs the dim^2 after
+    # them.  Ordered by block, each block's nodes come out ascending: its
+    # cavities (the field's indices) first, then its externals, so a node's
+    # place among its block's cavities or externals is one subtraction
+    pairs = dim * dim
+    label = _component_labels(cols, rows + pairs, 2 * pairs)
+    used = np.zeros(2 * pairs, dtype=bool)
+    used[cols] = used[rows + pairs] = True
+    nodes = np.flatnonzero(used)
+    nodes = nodes[np.argsort(label[nodes], kind="stable")]
+    starts = np.flatnonzero(np.diff(label[nodes], prepend=-1))
+    sizes = np.diff(starts, append=nodes.size)
+    owner = np.repeat(np.arange(starts.size), sizes)  # the block of each ordered node
+    n_cav = np.bincount(owner[nodes < pairs], minlength=starts.size)
+    n_ext = sizes - n_cav
+    place = np.empty(2 * pairs, dtype=np.intp)  # column (cavity) or row (external) in its block
+    place[nodes] = np.arange(nodes.size) - np.repeat(starts, sizes) - (nodes >= pairs) * n_cav[owner]
+    block = np.empty(2 * pairs, dtype=np.intp)
+    block[nodes] = owner
 
-    return CavityFieldState(_Blocks(zip(cavs, views), flat), s, policy, n_max, psi.tail_weight)
+    # every block's (externals x cavities) amplitude matrix, back to back in one buffer
+    ends = np.cumsum(n_ext * n_cav)
+    b = block[cols]
+    subs = np.zeros(int(ends[-1]) if ends.size else 0, dtype=complex)
+    subs[ends[b] - n_ext[b] * n_cav[b] + place[rows + pairs] * n_cav[b] + place[cols]] = vals
+    flat, views = _square_views(n_cav, complex)
+    for view, e, n in zip(views, ends.tolist(), n_ext.tolist()):
+        sub = subs[e - n * len(view) : e].reshape(n, len(view))
+        np.matmul(sub.T, sub.conj(), out=view)
+    cavs = [nodes[a : a + c] for a, c in zip(starts.tolist(), n_cav.tolist())]
+
+    return CavityFieldState(_Blocks(zip(cavs, views), flat), s, policy, dim - 1, psi.tail_weight)

@@ -8,6 +8,7 @@ import pytest
 
 from cvqubits.fieldprep import (
     N_MAX_FLOOR,
+    CavityFieldState,
     CouplingParam,
     SqueezeParam,
     TruncationPolicy,
@@ -17,6 +18,7 @@ from cvqubits.fieldprep import (
     inject_oracle,
     squeezed_state,
 )
+from cvqubits.fieldprep import _splitter_columns
 from cvqubits.tensorops import StateVector, TruncatedFockSpace, mat_exp
 
 S_GRID = [0.0, 0.3, 0.65, 1.0]
@@ -231,6 +233,45 @@ def test_inject_oracle_matches_full_product_reference(source, r):
     got = inject_oracle(psi, CouplingParam(r)).rho.matrix
     ref = reference_inject_oracle(psi, CouplingParam(r))
     assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def reference_splitter_columns(coupling, dim):
+    """reach[n, e] = <e, n - e| U |n, 0> through mat_exp, one whole total-n block at a time.
+
+    Kept as the reference that the one-eigh-per-block splitter table is held against.
+    """
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    reach = np.zeros((dim, dim))
+    for n in range(dim):
+        i = np.arange(n + 1)[:, None]
+        j = i.T
+        block = a[j, i] * a[n - i, n - j] - a[i, j] * a[n - j, n - i]
+        reach[n, : n + 1] = mat_exp(1j * block, scale=-0.5j * coupling.theta)[:, n].real
+    return reach
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 29, 43])
+@pytest.mark.parametrize("r", [0.0, 0.25, 0.7, 0.99, 1.0])
+def test_splitter_columns_match_the_exponential(dim, r):
+    # each row is one column of a unitary, so it has unit norm, and no
+    # photon leaves through a port it never entered (e <= n)
+    got = _splitter_columns(CouplingParam(r), dim)
+    assert np.max(np.abs(got - reference_splitter_columns(CouplingParam(r), dim))) <= 1e-14
+    assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) <= 1e-14
+    assert not np.any(np.triu(got, 1))
+
+
+def test_an_empty_field_builds_and_reads_zero():
+    # no blocks at all: the packed buffer is empty and every entry is 0, and
+    # an all-zero input reaches no cavity pair through the oracle
+    field = CavityFieldState((), None, None, 2, 0.0)
+    assert len(field.blocks) == 0 and field.blocks.flat.size == 0
+    assert field.rho.matrix.shape == (9, 9) and not np.any(field.rho.matrix)
+    rows, cols = np.divmod(np.arange(81), 9)
+    assert not np.any(field.entries(rows, cols))
+    psi = StateVector(TruncatedFockSpace((4, 4)), np.zeros(16))
+    empty = inject_oracle(psi, CouplingParam(0.4))
+    assert empty.n_max == 3 and not np.any(empty.rho.matrix)
 
 
 def random_pair_state(seed, dim=5, sparsity=0.0):

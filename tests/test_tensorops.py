@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from cvqubits.tensorops import (
     DensityOperator,
@@ -13,7 +16,7 @@ from cvqubits.tensorops import (
     partial_trace,
     partial_transpose,
 )
-from cvqubits.tensorops import _sectors
+from cvqubits.tensorops import HERM_TOL_BUILT, PSD_FLOOR, _sectors, _violations
 
 RNG = np.random.default_rng(20260815)
 
@@ -385,6 +388,94 @@ def test_validate_finds_negative_eigenvalue_in_one_block():
     assert len(_sectors(m)) >= 2
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityOperator(TruncatedFockSpace((m.shape[0],)), m).validate()
+
+
+def reference_smallest_eigenvalues(stack):
+    """Smallest eigenvalue of each matrix of a stack, one eigvalsh per component and matrix.
+
+    The components are those of the union pattern of the stack's Hermitian
+    parts, each taken with its indices ascending.  Kept as the literal
+    per-component loop that _violations' stacked eigensolves are held to,
+    bit for bit.
+    """
+    pattern = np.any((stack.conj().swapaxes(1, 2) + stack) * 0.5 != 0, axis=0)
+    count, label = connected_components(csr_matrix(pattern), directed=False)
+    out = []
+    for m in stack:
+        low = np.inf
+        for c in range(count):
+            b = np.flatnonzero(label == c)
+            block = m[np.ix_(b, b)]
+            low = min(low, np.linalg.eigvalsh((block.conj().T + block) * 0.5)[0])
+        out.append(low)
+    return out, count, {int(np.sum(label == c)) for c in range(count)}
+
+
+def sparse_hermitian_stack(rng, sizes, count):
+    """``count`` Hermitian matrices of trace 1, each nonzero only inside blocks of ``sizes``.
+
+    The blocks sit on shuffled indices, and about a quarter of each
+    matrix's entries inside them are zero, so the union pattern is what
+    joins them.
+    """
+    dim = int(sum(sizes))
+    perm = rng.permutation(dim)
+    stack = np.zeros((count, dim, dim), dtype=complex)
+    at = 0
+    for k in sizes:
+        idx = np.ix_(perm[at : at + k], perm[at : at + k])
+        at += k
+        for m in stack:
+            a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            a[rng.random((k, k)) < 0.25] = 0.0
+            m[idx] = a + a.conj().T
+    for m in stack:
+        m[perm[0], perm[0]] += 1.0 - np.trace(m).real
+    return stack
+
+
+def assert_smallest_eigenvalues_exact(stack, monkeypatch):
+    # psd_floor at the reference passes and one ulp above it fails, so the
+    # eigenvalue _violations finds is the reference's to the last bit; it
+    # takes one eigvalsh per component size
+    ref, _, widths = reference_smallest_eigenvalues(stack)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for t, w in enumerate(ref):
+        calls.clear()
+        assert _violations(stack, 0.0, HERM_TOL_BUILT, w, 1e-12)[t] is None
+        assert len(calls) == len(widths)
+        above = np.nextafter(w, np.inf)
+        assert _violations(stack, 0.0, HERM_TOL_BUILT, above, 1e-12)[t] == f"negative eigenvalue {w:.3e}"
+    return ref
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stacked_eigensolves_match_one_per_component_bit_for_bit(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    sizes = rng.choice([1, 2, 2, 3, 4, 6], size=rng.integers(2, 8))
+    assert_smallest_eigenvalues_exact(sparse_hermitian_stack(rng, sizes, int(rng.integers(1, 6))), monkeypatch)
+
+
+def test_stacked_eigensolves_find_a_negative_eigenvalue_in_one_block_of_one_matrix(monkeypatch):
+    # two block-diagonal states over components of sizes 2, 3, 2 and 3; only
+    # the second state's last size-3 block has a negative eigenvalue
+    rng = np.random.default_rng(41)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    weights = [0.3, 0.2, 0.2, 0.3]
+    good = [w * random_density(k, rng) for w, k in zip(weights, [2, 3, 2, 3])]
+    bad = good[:3] + [0.3 * (q @ np.diag([0.6, 0.6, -0.2]) @ q.conj().T)]
+    stack = np.stack([block_diag(*good), block_diag(*bad)])
+    ref = assert_smallest_eigenvalues_exact(stack, monkeypatch)
+    assert reference_smallest_eigenvalues(stack)[1:] == (4, {2, 3})
+    assert ref[0] > 0.0 and ref[1] < PSD_FLOOR
+    assert _violations(stack, 0.0, HERM_TOL_BUILT, PSD_FLOOR, 1e-12) == [None, f"negative eigenvalue {ref[1]:.3e}"]
 
 
 def test_validate_rejects_nan_off_diagonal():
