@@ -8,6 +8,12 @@ photon-number sums and brute-force dense evolution -- so every number
 carries its own cross-check.
 """
 
+import os
+
+# BLAS on the calling thread unless the caller chose: a second OpenBLAS thread
+# mostly spins idle.  Moot once numpy is loaded; child processes inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .tensorops import (
     TruncatedFockSpace,
     StateVector,

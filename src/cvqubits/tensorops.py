@@ -18,7 +18,6 @@ import string
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg  # noqa: F401  unused; without it its import work (locale) lands in the first sweep
 
 __all__ = [
     "TruncatedFockSpace",
@@ -296,16 +295,11 @@ def _component_labels(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
 
 
 def _sectors(m: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of m's exact nonzero pattern, as :func:`_components`."""
-    return _components(*np.nonzero(m), len(m))
-
-
-def _components(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray]:
-    """Index sets of the connected components over the edges rows[i] -- cols[i] of nodes 0..size-1.
+    """Index sets of the connected components of m's exact nonzero pattern.
 
     The sets come sorted, and ordered by their smallest index.
     """
-    label = _component_labels(rows, cols, size)
+    label = _component_labels(*np.nonzero(m), len(m))
     order = np.argsort(label, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 

@@ -261,6 +261,18 @@ def test_splitter_columns_match_the_exponential(dim, r):
     assert not np.any(np.triu(got, 1))
 
 
+def test_oracle_at_full_reflection_holds_only_the_vacuum_entry():
+    # at r = 1 the splitter is exp(0) = I exactly, so every photon stays in
+    # the external ports and no roundoff links cavity pairs into blocks
+    assert np.array_equal(_splitter_columns(CouplingParam(1.0), 43), np.eye(43))
+    psi = squeezed_state(SqueezeParam(1.0))
+    field = inject_oracle(psi, CouplingParam(1.0))
+    assert len(field.blocks) == 1 and field.blocks.flat.size == 1
+    m = field.rho.matrix
+    assert np.count_nonzero(m) == 1
+    assert m[0, 0] == pytest.approx(1.0 - psi.tail_weight, abs=1e-14)
+
+
 def test_an_empty_field_builds_and_reads_zero():
     # no blocks at all: the packed buffer is empty and every entry is 0, and
     # an all-zero input reaches no cavity pair through the oracle

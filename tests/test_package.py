@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -23,6 +24,36 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported)), "duplicate entries in __all__"
     assert [n for n in exported if not hasattr(module, n)] == []
 
+
+
+FOOTPRINT = """
+import os, sys
+import cvqubits
+print(cvqubits.__file__)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1)
+"""
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "given"])
+def test_fresh_import_loads_no_scipy_and_keeps_the_callers_blas_threads(given, expected):
+    # pytest has numpy loaded already, so the import is checked in a fresh
+    # interpreter: it must not pull in scipy (about 0.3 s), and it sets one
+    # BLAS thread only where the caller set none
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    where, scipy_modules, threads_var, threads = proc.stdout.splitlines()
+    assert Path(where).parent.parent == src
+    assert scipy_modules == "[]"
+    assert threads_var == expected
+    if given is None:  # no idle OpenBLAS worker beside the calling thread
+        assert threads == "1"
 
 
 def test_benchmark_runs_traced_against_the_package(tmp_path):
