@@ -20,8 +20,6 @@ from .tensorops import (
     DensityOperator,
     kron,
     partial_trace,
-    partial_transpose,
-    eig_hermitian,
     mat_exp,
 )
 from .fieldprep import (
@@ -49,8 +47,6 @@ from .analytic import (
     AtomXState,
     WeightTable,
     xstate_series,
-    xstate_gg,
-    xstate_ee,
     negativity_closed_form,
 )
 from .entanglement import EntanglementReport, negativity_general
@@ -73,8 +69,6 @@ __all__ = [
     "DensityOperator",
     "kron",
     "partial_trace",
-    "partial_transpose",
-    "eig_hermitian",
     "mat_exp",
     "SqueezeParam",
     "CouplingParam",
@@ -96,8 +90,6 @@ __all__ = [
     "AtomXState",
     "WeightTable",
     "xstate_series",
-    "xstate_gg",
-    "xstate_ee",
     "negativity_closed_form",
     "EntanglementReport",
     "negativity_general",

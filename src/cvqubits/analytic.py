@@ -17,18 +17,16 @@ recorded tail weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldprep import CouplingParam, SqueezeParam, _whole, binom_ladder
+from .fieldprep import _as_coupling, _as_squeeze, _times, _whole, binom_ladder
 
 __all__ = [
     "AtomXState",
     "WeightTable",
     "xstate_series",
-    "xstate_gg",
-    "xstate_ee",
     "negativity_closed_form",
 ]
 
@@ -65,11 +63,6 @@ class AtomXState:
         m[..., 0, 3] = m[..., 3, 0] = self.e_coh
         return m
 
-    def point(self, i: int) -> "AtomXState":
-        """The state at time index i of a series, with float elements."""
-        return replace(self, **{name: float(getattr(self, name)[i])
-                                for name in ("a", "b", "c", "d", "e_coh", "lambda_t")})
-
 
 class WeightTable:
     """Photon-ladder weights of the injected field.
@@ -85,16 +78,18 @@ class WeightTable:
 
     A caller that walks many cutoffs at one r may pass a ``ladder`` built
     once at its top cutoff: its top-left (n_max+2)-square corner is then
-    the table's ladder, bit for bit, with nothing copied.  A ladder too
-    small for n_max, or built for another r, is refused.
+    the table's ladder, bit for bit, with nothing copied.  A ladder that is
+    not 2-D, is too small for n_max, or was built for another r is refused.
     """
 
     def __init__(self, s, r, n_max: int, ladder=None) -> None:
-        self.s = s if isinstance(s, SqueezeParam) else SqueezeParam(s)
-        self.coupling = cp = r if isinstance(r, CouplingParam) else CouplingParam(r)
+        self.s = _as_squeeze(s)
+        self.coupling = cp = _as_coupling(r)
         self.n_max = n_max = _whole(n_max, "n_max", 0)
         if ladder is None:
             ladder = binom_ladder(n_max + 1, cp)
+        elif np.ndim(ladder) != 2:
+            raise ValueError(f"ladder must be a 2-D array, got shape {np.shape(ladder)}")
         elif min(ladder.shape) < n_max + 2:
             raise ValueError(f"ladder of shape {ladder.shape} is too small for n_max {n_max}")
         # level 1 takes binom_ladder's exact branch: its entries are r and sqrt(1 - r^2) exactly
@@ -106,7 +101,10 @@ class WeightTable:
 
 
 def xstate_series(s, r, lambda_ts, n_max: int, initial: str, ladder=None) -> AtomXState:
-    """Reduced atom state at every interaction time in ``lambda_ts``, as (T,) arrays.
+    """Reduced atom state at one interaction time, or at each time of a series.
+
+    A number gives floats, bit for bit those of the one-time series, and a
+    1-D sequence (T,) arrays; each time must be finite and >= 0.
 
     One weight table serves the whole series.  Its splitting ladder is
     built here, or read off the top-left corner of a ``ladder`` that
@@ -118,11 +116,10 @@ def xstate_series(s, r, lambda_ts, n_max: int, initial: str, ladder=None) -> Ato
     (level x rung) weight matrix with a (rung x time) trig table.  Each
     element is then an exactly rounded sum over levels.
     """
-    sq = s if isinstance(s, SqueezeParam) else SqueezeParam(s)
-    cp = r if isinstance(r, CouplingParam) else CouplingParam(r)
-    lts = np.asarray(lambda_ts, dtype=float)
-    if lts.ndim != 1:
-        raise ValueError(f"lambda_ts must be one-dimensional, got shape {lts.shape}")
+    sq = _as_squeeze(s)
+    cp = _as_coupling(r)
+    one_time = np.ndim(lambda_ts) == 0
+    lts = _times(np.atleast_1d(lambda_ts))
     n_max = _whole(n_max, "n_max", 1)
     if initial not in ("gg", "ee"):
         raise ValueError(f"initial must be 'gg' or 'ee', got {initial!r}")
@@ -166,6 +163,8 @@ def xstate_series(s, r, lambda_ts, n_max: int, initial: str, ladder=None) -> Ato
     # product makes the physical corner the negative of the bare sum
     e_coh = -_level_sums(corner)
 
+    if one_time:
+        a, b, d, e_coh, lts = (float(v[0]) for v in (a, b, d, e_coh, lts))
     # c = b: identical cavities and couplings on both sides
     return AtomXState(a=a, b=b, c=b, d=d, e_coh=e_coh, s=sq.s, r=cp.r, lambda_t=lts,
                       initial=initial, n_max=n_max, tail_weight=sq.tanh ** (2 * (n_max + 1)))
@@ -174,22 +173,6 @@ def xstate_series(s, r, lambda_ts, n_max: int, initial: str, ladder=None) -> Ato
 def _level_sums(terms: np.ndarray) -> np.ndarray:
     """Exactly rounded sum over the level axis (rows) for every time (column)."""
     return np.array([math.fsum(column) for column in terms.T.tolist()], dtype=float)
-
-
-def xstate_gg(s, r, lambda_t, n_max: int) -> AtomXState:
-    """Reduced atom state for both atoms starting in the ground state."""
-    return xstate_series(s, r, (lambda_t,), n_max, "gg").point(0)
-
-
-def xstate_ee(s, r, lambda_t, n_max: int) -> AtomXState:
-    """Reduced atom state for both atoms starting excited.
-
-    Same ladder sums as the ground-state case with the roles of exchange
-    and survival swapped and every Rabi angle shifted one rung up -- the
-    extra quantum each atom brings in.  The dense oracle, not the
-    transcription, is the ground truth the tests enforce.
-    """
-    return xstate_series(s, r, (lambda_t,), n_max, "ee").point(0)
 
 
 def negativity_closed_form(x: AtomXState):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import DensityOperator, _transpose_factor, eig_hermitian
+from .tensorops import DensityOperator, _transpose_factor
 
 __all__ = ["EntanglementReport", "negativity_general"]
 
@@ -36,7 +36,9 @@ def negativity_general(rho) -> EntanglementReport:
     Accepts a (2, 2)-factored DensityOperator, a bare 4x4 matrix, or a
     (T, 4, 4) stack of them; for a stack each field of the report holds one
     entry per matrix.  The transpose is taken over the second qubit; which
-    qubit is transposed does not change the spectrum.
+    qubit is transposed does not change the spectrum.  Raises ValueError
+    when any input deviates from Hermiticity by more than 1e-10 in any
+    element, or holds a NaN; the spectrum is that of the Hermitian part.
     """
     if isinstance(rho, DensityOperator):
         if rho.space.factor_dims != (2, 2):
@@ -47,7 +49,12 @@ def negativity_general(rho) -> EntanglementReport:
         if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 two-qubit state or a stack of them, got shape {m.shape}")
 
-    spectrum = eig_hermitian(_transpose_factor(m, (2, 2), 1))
+    pt = _transpose_factor(m, (2, 2), 1)
+    adj = pt.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(pt - adj), initial=0.0))
+    if not dev <= 1e-10:  # a NaN entry fails here too
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+    spectrum = np.linalg.eigvalsh((pt + adj) / 2.0)
     negative = np.where(spectrum < 0.0, spectrum, 0.0).sum(axis=-1)
     # a NaN stays NaN; adding +0.0 turns -2 * 0.0 into +0.0
     measure = np.maximum(-2.0 * negative, 0.0) + 0.0

@@ -48,6 +48,17 @@ def _whole(value, knob: str, low: int, error=ValueError) -> int:
     return int(value)
 
 
+def _times(lts) -> np.ndarray:
+    """The times of a series as a 1-D float array, each checked finite and >= 0."""
+    times = np.asarray(lts, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"expected a 1-D vector of times, got shape {times.shape}")
+    bad = ~np.isfinite(times) | (times < 0.0)
+    if bad.any():
+        raise ValueError(f"lambda_t must be finite and >= 0, got {times[bad][0]}")
+    return times
+
+
 @dataclass(frozen=True)
 class SqueezeParam:
     """Dimensionless squeezing strength of the external source."""
@@ -118,8 +129,8 @@ class TruncationPolicy:
         if self.n_max is not None:
             object.__setattr__(self, "n_max", _whole(self.n_max, "n_max", 1))
         else:
-            if self.tail_tol is None or not (float(self.tail_tol) > 0.0):
-                raise ValueError("need a positive tail_tol when n_max is not set")
+            if self.tail_tol is None or not (0.0 < float(self.tail_tol) < math.inf):
+                raise ValueError(f"tail_tol must be finite and > 0 when n_max is not set, got {self.tail_tol}")
             object.__setattr__(self, "tail_tol", float(self.tail_tol))
 
     def resolve(self, s) -> tuple[int, float]:

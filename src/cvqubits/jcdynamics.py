@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldprep import CavityFieldState
+from .fieldprep import CavityFieldState, _times
 from .tensorops import DensityOperator, TruncatedFockSpace, mat_exp, partial_trace
 
 __all__ = [
@@ -86,17 +86,6 @@ class EvolvedState:
     """Composite state after the transit, factors (atom A, atom B, field A, field B)."""
 
     rho: DensityOperator
-
-
-def _times(lts) -> np.ndarray:
-    """The times of a series as a 1-D float array, each checked finite and >= 0."""
-    times = np.asarray(lts, dtype=float)
-    if times.ndim != 1:
-        raise ValueError(f"expected a 1-D vector of times, got shape {times.shape}")
-    bad = ~np.isfinite(times) | (times < 0.0)
-    if bad.any():
-        raise ValueError(f"lambda_t must be finite and >= 0, got {times[bad][0]}")
-    return times
 
 
 def _jc_amplitudes(times: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

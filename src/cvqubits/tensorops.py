@@ -25,8 +25,6 @@ __all__ = [
     "DensityOperator",
     "kron",
     "partial_trace",
-    "partial_transpose",
-    "eig_hermitian",
     "mat_exp",
 ]
 
@@ -243,12 +241,6 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(space, reduced.reshape(space.total_dim, space.total_dim), rho.tail_weight)
 
 
-def partial_transpose(rho: DensityOperator, factor: int) -> DensityOperator:
-    """Transpose the indices of a single factor, leaving the rest alone."""
-    out = _transpose_factor(rho.matrix, rho.space.factor_dims, factor)
-    return DensityOperator(rho.space, out, rho.tail_weight)
-
-
 def _transpose_factor(m: np.ndarray, dims: tuple[int, ...], factor: int) -> np.ndarray:
     """Partial transpose of one factor, for each matrix of a stack (..., d, d) too."""
     nf, lead = len(dims), m.ndim - 2
@@ -257,22 +249,6 @@ def _transpose_factor(m: np.ndarray, dims: tuple[int, ...], factor: int) -> np.n
     perm = list(range(lead + 2 * nf))
     perm[lead + factor], perm[lead + nf + factor] = lead + nf + factor, lead + factor
     return m.reshape(m.shape[:-2] + dims + dims).transpose(perm).reshape(m.shape)
-
-
-def eig_hermitian(m) -> np.ndarray:
-    """Real ascending eigenvalues of a Hermitian matrix, or of each in a stack (..., n, n).
-
-    Raises ValueError when any input deviates from Hermiticity by more than
-    1e-10 in any element, or holds a NaN.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    adj = m.conj().swapaxes(-1, -2)
-    dev = float(np.max(np.abs(m - adj), initial=0.0))
-    if not dev <= 1e-10:  # a NaN entry fails here too
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-    return np.linalg.eigvalsh((m + adj) / 2.0)
 
 
 def _component_labels(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from cvqubits.analytic import negativity_closed_form, xstate_ee, xstate_gg
+from cvqubits.analytic import negativity_closed_form, xstate_series
 from cvqubits.cli import main
 from cvqubits.entanglement import negativity_general
 from cvqubits.fieldprep import (
@@ -50,9 +50,8 @@ def cross_engine_grid():
         for r in R_SET:
             field = inject(psi, CouplingParam(r), s=SqueezeParam(s), policy=policy)
             for initial in INITIALS:
-                build = xstate_gg if initial == "gg" else xstate_ee
                 for lt in LT_SET:
-                    x = build(s, r, lt, n_max)
+                    x = xstate_series(s, r, lt, n_max, initial)
                     rho = reduce_atoms_direct(AtomState(initial), field, lt)
                     records.append((s, r, initial, lt, x, rho))
     return records, time.perf_counter() - t0
@@ -132,8 +131,7 @@ def test_criterion_4_squeezing_dependence_has_the_right_shape():
 
 
 def _analytic_curve(s, r, initial, lts, n_max):
-    build = xstate_gg if initial == "gg" else xstate_ee
-    return [negativity_closed_form(build(s, r, lt, n_max)) for lt in lts]
+    return [negativity_closed_form(xstate_series(s, r, lt, n_max, initial)) for lt in lts]
 
 
 def test_criterion_5a_entanglement_survives_strong_reflection():
@@ -182,9 +180,8 @@ def test_criterion_6_no_squeezing_means_no_entanglement():
     for r in R_SET:
         field = inject(psi, CouplingParam(r), s=SqueezeParam(0.0), policy=policy)
         for initial in INITIALS:
-            build = xstate_gg if initial == "gg" else xstate_ee
             for lt in LT_SET:
-                worst = max(worst, negativity_closed_form(build(0.0, r, lt, n_max)))
+                worst = max(worst, negativity_closed_form(xstate_series(0.0, r, lt, n_max, initial)))
                 worst = max(
                     worst,
                     negativity_general(reduce_atoms_direct(AtomState(initial), field, lt)).measure,
@@ -220,9 +217,9 @@ def test_criterion_7_states_stay_physical_and_conserve_excitation(cross_engine_g
 def test_criterion_8_measure_is_stable_under_cutoff_doubling():
     n_max, _ = TruncationPolicy().resolve(SqueezeParam(1.0))
     drift = 0.0
-    for build in (xstate_gg, xstate_ee):
-        base = negativity_closed_form(build(1.0, 0.0, 11.0, n_max))
-        double = negativity_closed_form(build(1.0, 0.0, 11.0, 2 * n_max))
+    for initial in ("gg", "ee"):
+        base = negativity_closed_form(xstate_series(1.0, 0.0, 11.0, n_max, initial))
+        double = negativity_closed_form(xstate_series(1.0, 0.0, 11.0, 2 * n_max, initial))
         drift = max(drift, abs(double - base))
     assert drift < 1e-8
     print(f"\n[criterion 8] PASS: doubling the cutoff ({n_max} -> {2 * n_max}) "

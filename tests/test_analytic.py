@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,6 @@ from cvqubits.analytic import (
     AtomXState,
     WeightTable,
     negativity_closed_form,
-    xstate_ee,
-    xstate_gg,
     xstate_series,
 )
 from cvqubits.fieldprep import (
@@ -110,11 +109,11 @@ def test_weight_table_matches_injected_field_elements():
 
 def test_xstate_zero_time_is_initial_state():
     for s, r in [(0.3, 0.0), (0.65, 0.7)]:
-        g = xstate_gg(s, r, 0.0, 15)
+        g = xstate_series(s, r, 0.0, 15, "gg")
         assert g.a == g.b == g.c == 0.0
         assert g.e_coh == 0.0
         assert g.d == pytest.approx(1.0 - math.tanh(s) ** 32, abs=1e-14)
-        e = xstate_ee(s, r, 0.0, 15)
+        e = xstate_series(s, r, 0.0, 15, "ee")
         assert e.b == e.c == e.d == 0.0
         assert e.a == pytest.approx(1.0 - math.tanh(s) ** 32, abs=1e-14)
 
@@ -122,7 +121,7 @@ def test_xstate_zero_time_is_initial_state():
 def test_xstate_gg_dark_without_light():
     # no squeezing, atoms in |g,g>: nothing ever happens
     for lt in (0.0, 1.7, 11.0):
-        x = xstate_gg(0.0, 0.3, lt, 6)
+        x = xstate_series(0.0, 0.3, lt, 6, "gg")
         assert x.a == x.b == x.c == 0.0
         assert x.d == pytest.approx(1.0)
         assert x.e_coh == 0.0
@@ -133,7 +132,7 @@ def test_xstate_gg_dark_without_light():
 def test_xstate_ee_vacuum_factorizes(lt):
     # no squeezing, full transmission: each atom does independent vacuum
     # Rabi flopping, so the joint state is a product of (cos^2, sin^2)
-    x = xstate_ee(0.0, 0.0, lt, 6)
+    x = xstate_series(0.0, 0.0, lt, 6, "ee")
     c2, s2 = math.cos(lt) ** 2, math.sin(lt) ** 2
     assert x.a == pytest.approx(c2 * c2, abs=1e-14)
     assert x.b == pytest.approx(c2 * s2, abs=1e-14)
@@ -146,20 +145,20 @@ def test_xstate_ee_vacuum_factorizes(lt):
 def test_xstate_cross_populations_match_exactly():
     # both cavities see the same field and coupling, so the two single-flip
     # populations coincide by construction
-    for initial, build in (("gg", xstate_gg), ("ee", xstate_ee)):
-        x = build(0.9, 0.4, 7.3, 25)
+    for initial in ("gg", "ee"):
+        x = xstate_series(0.9, 0.4, 7.3, 25, initial)
         assert x.b == x.c
         assert x.initial == initial
 
 
 def test_xstate_trace_matches_kept_mass():
-    for build in (xstate_gg, xstate_ee):
-        x = build(0.65, 0.25, 11.0, 20)
+    for initial in ("gg", "ee"):
+        x = xstate_series(0.65, 0.25, 11.0, 20, initial)
         assert x.trace() == pytest.approx(1.0 - math.tanh(0.65) ** 42, abs=1e-13)
 
 
 def test_xstate_matrix_layout():
-    x = xstate_gg(0.65, 0.0, 11.0, 20)
+    x = xstate_series(0.65, 0.0, 11.0, 20, "gg")
     m = x.to_matrix()
     assert m[0, 0] == x.a and m[3, 3] == x.d
     assert m[0, 3] == m[3, 0] == x.e_coh
@@ -168,7 +167,7 @@ def test_xstate_matrix_layout():
 
 def test_xstate_rejects_degenerate_cutoff():
     with pytest.raises(ValueError):
-        xstate_gg(0.65, 0.0, 1.0, 0)
+        xstate_series(0.65, 0.0, 1.0, 0, "gg")
 
 
 def test_xstate_and_weight_table_take_only_a_whole_cutoff():
@@ -208,6 +207,15 @@ def test_weight_table_refuses_a_ladder_too_small_for_the_cutoff():
             WeightTable(0.65, 0.25, n_max, short)
 
 
+def test_weight_table_refuses_a_ladder_that_is_not_two_dimensional():
+    # a 1-D ladder is long enough for the size check, and has no [1, 0] entry
+    for flat in (np.zeros(50), binom_ladder(10, CouplingParam(0.25)).ravel(), np.zeros((2, 12, 12))):
+        with pytest.raises(ValueError, match="ladder must be a 2-D array"):
+            WeightTable(0.65, 0.25, 5, flat)
+        with pytest.raises(ValueError, match="ladder must be a 2-D array"):
+            xstate_series(0.65, 0.25, [1.0], 5, "gg", flat)
+
+
 def test_weight_table_refuses_a_ladder_built_for_another_r():
     for other in (0.0, 0.7, 1.0, math.nextafter(0.25, 1.0)):
         ladder = binom_ladder(10, CouplingParam(other))
@@ -230,8 +238,7 @@ def test_xstate_matches_dense_reduction(initial, s, r, lt):
     field = inject(squeezed_state(SqueezeParam(s), policy), CouplingParam(r),
                    s=SqueezeParam(s), policy=policy)
     rho = reduce_atoms_direct(AtomState(initial), field, lt).matrix
-    build = xstate_gg if initial == "gg" else xstate_ee
-    x = build(s, r, lt, n_max)
+    x = xstate_series(s, r, lt, n_max, initial)
     assert abs(rho[0, 0].real - x.a) < 1e-13
     assert abs(rho[1, 1].real - x.b) < 1e-13
     assert abs(rho[2, 2].real - x.c) < 1e-13
@@ -297,12 +304,12 @@ def test_xstate_series_matches_pointwise_reference(s, r, initial, lambda_ts):
     series = xstate_series(s, r, lambda_ts, n_max, initial)
     assert series.a.shape == series.lambda_t.shape == (len(lambda_ts),)
     for i, lt in enumerate(lambda_ts):
-        x = series.point(i)
         ref = reference_xstate(s, r, lt, n_max, initial)
         for name in ("a", "b", "c", "d", "e_coh"):
-            assert abs(getattr(x, name) - getattr(ref, name)) <= SERIES_TOL, (name, lt)
-        assert (x.s, x.r, x.lambda_t, x.initial, x.n_max) == (s, r, lt, initial, n_max)
-        assert x.tail_weight == tail == ref.tail_weight
+            assert abs(getattr(series, name)[i] - getattr(ref, name)) <= SERIES_TOL, (name, lt)
+        fixed = (series.s, series.r, series.lambda_t[i], series.initial, series.n_max)
+        assert fixed == (s, r, lt, initial, n_max)
+        assert series.tail_weight == tail == ref.tail_weight
 
 
 def reference_xstate_series(s, r, lambda_ts, n_max, initial):
@@ -370,18 +377,30 @@ def test_xstate_series_matches_per_level_reference_on_presets(preset):
             for initial in config.initials:
                 got = xstate_series(s, r, lts, n_max, initial)
                 ref = reference_xstate_series(s, r, lts, n_max, initial)
-                for x, y in zip(map(got.point, range(len(lts))), ref, strict=True):
+                measures = negativity_closed_form(got).tolist()
+                assert len(ref) == len(lts)
+                for i, y in enumerate(ref):
                     for name in ("a", "b", "c", "d", "e_coh"):
-                        assert abs(getattr(x, name) - getattr(y, name)) <= SERIES_TOL
-                    assert (format(negativity_closed_form(x), ".12g")
-                            == format(negativity_closed_form(y), ".12g")), (s, r, x.lambda_t)
-                    assert (x.lambda_t, x.tail_weight) == (y.lambda_t, y.tail_weight)
+                        assert abs(getattr(got, name)[i] - getattr(y, name)) <= SERIES_TOL
+                    assert (format(measures[i], ".12g")
+                            == format(negativity_closed_form(y), ".12g")), (s, r, y.lambda_t)
+                    assert (got.lambda_t[i], got.tail_weight) == (y.lambda_t, y.tail_weight)
 
 
 def test_xstate_single_point_is_the_one_element_series():
-    for build, initial in ((xstate_gg, "gg"), (xstate_ee, "ee")):
-        for s, r, lt, n_max in [(0.65, 0.25, 11.0, 20), (1.2, 0.7, 3.3, 63), (0.3, 0.0, 0.0, 9)]:
-            assert build(s, r, lt, n_max) == xstate_series(s, r, [lt], n_max, initial).point(0)
+    # a number gives the one-time series' entries, bit for bit, as plain floats; the
+    # grid reaches n_max 1, the ladder's log branch (n_max > 20), and r = 0 and r = 1
+    for s, r, n_max in [(0.0, 0.0, 1), (0.3, 1.0, 6), (0.65, 0.25, 20), (1.2, 0.7, 63), (2.0, 0.99, 60)]:
+        for initial in ("gg", "ee"):
+            for lt in (0.0, 1.7, 3.3, 11.0):
+                series = xstate_series(s, r, [lt], n_max, initial)
+                for number in (lt, np.float64(lt), np.array(lt)):
+                    x = xstate_series(s, r, number, n_max, initial)
+                    for name in ("a", "b", "c", "d", "e_coh", "lambda_t"):
+                        got, want = getattr(x, name), getattr(series, name)[0]
+                        assert type(got) is float and got.hex() == want.hex(), (s, r, n_max, lt, name)
+                    fixed = (x.s, x.r, x.initial, x.n_max, x.tail_weight)
+                    assert fixed == (series.s, series.r, series.initial, series.n_max, series.tail_weight)
 
 
 def test_xstate_series_rejects_bad_arguments():
@@ -412,9 +431,9 @@ def test_measure_clamps_separable_states():
     assert negativity_closed_form(x_state(0.1, 0.4, 0.4, 0.1, 0.05)) == 0.0
 
 
-def scalar_measure(x):
+def scalar_measure(b, c, e_coh):
     """The closed form one point at a time, as first written with math.sqrt."""
-    raw = math.sqrt((x.b - x.c) ** 2 + 4.0 * x.e_coh**2) - x.b - x.c
+    raw = math.sqrt((b - c) ** 2 + 4.0 * e_coh**2) - b - c
     return max(0.0, raw)
 
 
@@ -430,8 +449,9 @@ def test_series_measure_equals_the_scalar_closed_form(grid):
             for initial in config.initials:
                 series = xstate_series(s, r, lts, n_max, initial)
                 got = negativity_closed_form(series).tolist()
-                for i, measure in enumerate(got):
-                    assert measure.hex() == scalar_measure(series.point(i)).hex(), (s, r, initial, i)
+                parts = zip(series.b.tolist(), series.c.tolist(), series.e_coh.tolist())
+                for i, (measure, (b, c, e_coh)) in enumerate(zip(got, parts)):
+                    assert measure.hex() == scalar_measure(b, c, e_coh).hex(), (s, r, initial, i)
                     zeros += measure == 0.0
     assert zeros > 0  # the clamp was reached
 
@@ -448,9 +468,16 @@ def test_measure_keeps_nan_and_signs_zero_positive():
 
 
 def test_series_matrix_stacks_the_point_matrices():
-    series = xstate_series(0.65, 0.25, [0.0, 3.3, 11.0], 20, "ee")
+    lts = [0.0, 3.3, 11.0]
+    series = xstate_series(0.65, 0.25, lts, 20, "ee")
     stack = series.to_matrix()
     assert stack.shape == (3, 4, 4)
-    for i in range(3):
-        assert np.array_equal(stack[i], series.point(i).to_matrix())
+    for i, lt in enumerate(lts):
+        point = replace(series, **{name: float(getattr(series, name)[i])
+                                   for name in ("a", "b", "c", "d", "e_coh", "lambda_t")})
+        assert np.array_equal(stack[i], point.to_matrix())
+        # a number's matrix is the one-time series' stack, bit for bit
+        one = xstate_series(0.65, 0.25, lt, 20, "ee").to_matrix()
+        assert one.shape == (4, 4)
+        assert np.array_equal(one, xstate_series(0.65, 0.25, [lt], 20, "ee").to_matrix()[0])
     assert np.array_equal(series.trace(), np.real(np.trace(stack, axis1=1, axis2=2)))

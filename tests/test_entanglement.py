@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvqubits.entanglement import NEGATIVITY_TOL, EntanglementReport, negativity_general
-from cvqubits.tensorops import DensityOperator, TruncatedFockSpace, kron, partial_transpose
+from cvqubits.tensorops import DensityOperator, TruncatedFockSpace, _transpose_factor, kron
 
 RNG = np.random.default_rng(7)
 
@@ -49,8 +49,8 @@ def test_transposing_either_side_gives_same_spectrum():
         a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
         m = a @ a.conj().T
         rho = DensityOperator(TWO_QUBITS, m / np.trace(m))
-        wa = np.linalg.eigvalsh(partial_transpose(rho, 0).matrix)
-        wb = np.linalg.eigvalsh(partial_transpose(rho, 1).matrix)
+        wa = np.linalg.eigvalsh(_transpose_factor(rho.matrix, (2, 2), 0))
+        wb = np.linalg.eigvalsh(_transpose_factor(rho.matrix, (2, 2), 1))
         np.testing.assert_allclose(np.sort(wa), np.sort(wb), atol=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_mixing_bell_with_noise_decreases_measure():
 
 def old_measure(m):
     """The measure of one 4x4 state as first written: a sum over the negative eigenvalues."""
-    spectrum = np.linalg.eigvalsh(partial_transpose(DensityOperator(TWO_QUBITS, m), 1).matrix)
+    spectrum = np.linalg.eigvalsh(_transpose_factor(DensityOperator(TWO_QUBITS, m).matrix, (2, 2), 1))
     return max(0.0, -2.0 * float(spectrum[spectrum < 0.0].sum()))
 
 
@@ -140,6 +140,34 @@ def test_zero_measure_is_positive_zero():
     stack = negativity_general(np.stack([separable, bell().matrix, separable]))
     assert stack.measure[0] == stack.measure[2] == 0.0
     assert not np.signbit(stack.measure).any()
+
+
+def random_hermitian(rng=RNG):
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return (a + a.conj().T) / 2.0
+
+
+def test_negativity_general_spectrum_roundtrip():
+    # the report holds the partial transpose's spectrum, ascending, for any
+    # Hermitian input, a state or not
+    h = random_hermitian()
+    w = negativity_general(h).pt_eigenvalues
+    assert np.all(np.diff(w) >= 0)
+    pt = _transpose_factor(h, (2, 2), 1)
+    w_ref, v = np.linalg.eigh(pt)
+    np.testing.assert_allclose(w, w_ref, atol=1e-12)
+    np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, pt, atol=1e-12)
+
+
+def test_negativity_general_rejects_a_misshapen_or_tilted_matrix():
+    with pytest.raises(ValueError):
+        negativity_general(np.zeros((2, 3)))
+    tilted = random_hermitian()
+    tilted[0, 1] += 1e-8  # way past the 1e-10 gate
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max deviation 1\.000e-08$"):
+        negativity_general(tilted)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity_general(np.stack([random_hermitian(), tilted]))
 
 
 def test_rejects_a_nan_state():

@@ -87,6 +87,15 @@ def test_truncation_policy_takes_only_a_whole_cutoff():
     assert TruncationPolicy(n_max=3.0).n_max == 3 and type(TruncationPolicy(n_max=np.int64(3)).n_max) is int
 
 
+def test_truncation_policy_refuses_a_tail_tol_it_cannot_resolve():
+    # an infinite tail_tol used to build, and resolve then died converting inf to an int
+    for bad in (math.inf, math.nan, 0.0, -1e-10, None):
+        with pytest.raises(ValueError, match="tail_tol must be finite and > 0"):
+            TruncationPolicy(tail_tol=bad)
+    # an explicit cutoff still wins over any tail_tol
+    assert TruncationPolicy(tail_tol=math.inf, n_max=5).resolve(0.5)[0] == 5
+
+
 # ------------------------------------------------------------ squeezed state
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -138,6 +139,22 @@ def test_series_reject_bad_times(bad):
     lts = [0.0, 1.0, bad, 2.0]
     with pytest.raises(ValueError, match="lambda_t must be finite and >= 0"):
         reduce_atoms_series(AtomState("gg"), small_field(), lts)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "oracle"])
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_both_engines_refuse_the_same_times(engine, bad):
+    # one check serves both engines: neither gives numbers at a time the other refuses,
+    # whether the time comes alone or inside a series
+    message = re.escape(f"lambda_t must be finite and >= 0, got {bad}")
+    for lts in (bad, [0.0, 1.0, bad, 2.0]):
+        with pytest.raises(ValueError, match=message):
+            if engine == "analytic":
+                analytic.xstate_series(0.65, 0.25, lts, 9, "gg")
+            elif np.ndim(lts) == 0:
+                reduce_atoms_direct(AtomState("gg"), small_field(), lts)
+            else:
+                reduce_atoms_series(AtomState("gg"), small_field(), lts)
 
 
 @pytest.mark.parametrize("lt", LT_GRID)
