@@ -79,7 +79,8 @@ class WeightTable:
     A caller that walks many cutoffs at one r may pass a ``ladder`` built
     once at its top cutoff: its top-left (n_max+2)-square corner is then
     the table's ladder, bit for bit, with nothing copied.  A ladder that is
-    not 2-D, is too small for n_max, or was built for another r is refused.
+    not a 2-D ndarray (a nested list included), is too small for n_max, or
+    was built for another r is refused.
     """
 
     def __init__(self, s, r, n_max: int, ladder=None) -> None:
@@ -88,8 +89,10 @@ class WeightTable:
         self.n_max = n_max = _whole(n_max, "n_max", 0)
         if ladder is None:
             ladder = binom_ladder(n_max + 1, cp)
-        elif np.ndim(ladder) != 2:
-            raise ValueError(f"ladder must be a 2-D array, got shape {np.shape(ladder)}")
+        elif not isinstance(ladder, np.ndarray):
+            raise ValueError(f"ladder must be a 2-D array, got a {type(ladder).__name__}")
+        elif ladder.ndim != 2:
+            raise ValueError(f"ladder must be a 2-D array, got shape {ladder.shape}")
         elif min(ladder.shape) < n_max + 2:
             raise ValueError(f"ladder of shape {ladder.shape} is too small for n_max {n_max}")
         # level 1 takes binom_ladder's exact branch: its entries are r and sqrt(1 - r^2) exactly

@@ -196,12 +196,23 @@ def kron(a: DensityOperator, b: DensityOperator) -> DensityOperator:
 
     The first argument supplies the slow (leftmost) indices; the result's
     factor list is the concatenation of the inputs' factor lists.
+
+    Only the blocks under nonzero entries of ``a`` are written, each the
+    same product ``np.kron`` forms, bit for bit; a zero entry of ``a``
+    leaves its block at exact +0.0 (never -0.0, nor a NaN from ``b``).
+    The rest of the output is never touched, so a basis-state atom factor
+    backs only one block of the composite's pages.
     """
     if not (isinstance(a, DensityOperator) and isinstance(b, DensityOperator)):
         raise TypeError("kron needs two DensityOperators")
     space = TruncatedFockSpace(a.space.factor_dims + b.space.factor_dims)
     tail = 1.0 - (1.0 - a.tail_weight) * (1.0 - b.tail_weight)
-    return DensityOperator(space, np.kron(a.matrix, b.matrix), tail)
+    (ra, ca), (rb, cb) = a.matrix.shape, b.matrix.shape
+    out = np.zeros((ra * rb, ca * cb), dtype=complex)
+    # (ra, rb, ca, cb) view of the output: entry a[i, k] scales block (i, :, k, :)
+    a4 = a.matrix[:, None, :, None]
+    np.multiply(a4, b.matrix[None, :, None, :], out=out.reshape(ra, rb, ca, cb), where=a4 != 0)
+    return DensityOperator(space, out, tail)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:

@@ -216,6 +216,16 @@ def test_weight_table_refuses_a_ladder_that_is_not_two_dimensional():
             xstate_series(0.65, 0.25, [1.0], 5, "gg", flat)
 
 
+def test_weight_table_refuses_a_ladder_that_is_not_an_ndarray():
+    # a nested list passes a dimension count, and has no .shape to read
+    ladder = binom_ladder(10, CouplingParam(0.25))
+    for other in (ladder.tolist(), tuple(map(tuple, ladder.tolist()))):
+        with pytest.raises(ValueError, match=r"ladder must be a 2-D array, got a (list|tuple)"):
+            WeightTable(0.65, 0.25, 5, other)
+        with pytest.raises(ValueError, match=r"ladder must be a 2-D array, got a (list|tuple)"):
+            xstate_series(0.65, 0.25, [1.0], 5, "gg", other)
+
+
 def test_weight_table_refuses_a_ladder_built_for_another_r():
     for other in (0.0, 0.7, 1.0, math.nextafter(0.25, 1.0)):
         ladder = binom_ladder(10, CouplingParam(other))

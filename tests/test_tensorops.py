@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,86 @@ def test_kron_rejects_mixed_kinds():
         kron(psi, rho)
     with pytest.raises(TypeError):
         kron(psi, psi)
+
+
+def _atom_factors():
+    one_entry = np.zeros((4, 4), dtype=complex)
+    one_entry[3, 3] = 1.0  # |g,g><g,g|
+    superposition = StateVector(TruncatedFockSpace((4,)), 0.5 * np.array([1, 1j, -1, 1j])).density().matrix
+    rng = np.random.default_rng(2323)
+    sparse = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) * (rng.random((4, 4)) < 0.4)
+    return {"one-entry": one_entry, "superposition": superposition, "sparse": sparse}
+
+
+ATOM_FACTORS = _atom_factors()
+
+
+def _field_factor():
+    # negative real and imaginary parts, so 0 * b would carry sign bits
+    b = random_density(5, np.random.default_rng(2324))
+    assert (b.real < 0).any() and (b.imag < 0).any()
+    return b
+
+
+def _blocks(m, shape_a, shape_b):
+    (ra, ca), (rb, cb) = shape_a, shape_b
+    return m.reshape(ra, rb, ca, cb).transpose(0, 2, 1, 3)  # [i, k] is block (i, k)
+
+
+@pytest.mark.parametrize("name", sorted(ATOM_FACTORS))
+def test_kron_equals_numpy_kron(name):
+    ma, mb = ATOM_FACTORS[name], _field_factor()
+    out = kron(DensityOperator(TruncatedFockSpace((4,)), ma), DensityOperator(TruncatedFockSpace((5,)), mb))
+    want = np.kron(ma, mb)
+    assert out.matrix.dtype == want.dtype and np.array_equal(out.matrix, want)
+    # the blocks under nonzero entries of a are numpy's product, bit for bit
+    nonzero = ma != 0
+    got_blocks, want_blocks = _blocks(out.matrix, ma.shape, mb.shape), _blocks(want, ma.shape, mb.shape)
+    assert np.array_equal(got_blocks[nonzero].view(np.uint64), want_blocks[nonzero].view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["one-entry", "sparse"])
+def test_kron_leaves_positive_zero_blocks_under_zero_entries(name):
+    ma, mb = ATOM_FACTORS[name], _field_factor()
+    for b in (mb, np.where(np.eye(5, dtype=bool), np.nan, mb)):
+        out = kron(DensityOperator(TruncatedFockSpace((4,)), ma), DensityOperator(TruncatedFockSpace((5,)), b))
+        zero_blocks = _blocks(out.matrix, ma.shape, b.shape)[ma == 0]
+        # exact +0.0: no sign bit and no NaN from b, where np.kron leaves both
+        assert not zero_blocks.view(np.uint64).any()
+
+
+KRON_FOOTPRINT = """
+from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
+from cvqubits.jcdynamics import AtomState
+from cvqubits.tensorops import DensityOperator, TruncatedFockSpace, kron
+
+def rss_bytes():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmRSS:"))
+
+field = inject(squeezed_state(SqueezeParam(0.65), TruncationPolicy()), CouplingParam(0.0)).rho
+atoms = DensityOperator(TruncatedFockSpace((2, 2)), AtomState("gg").density())
+before = rss_bytes()
+out = kron(atoms, field)
+print(rss_bytes() - before, out.matrix.nbytes, out.matrix.shape[0])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmRSS is read from /proc/self/status")
+def test_kron_backs_only_the_pages_of_its_written_blocks():
+    # |g,g><g,g| (x) field at s = 0.65 writes one of 16 blocks; the other pages
+    # are never touched, so the process grows by much less than the output.
+    # tracemalloc counts the whole allocation, so the resident size is read
+    # in a fresh interpreter instead
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", KRON_FOOTPRINT], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    grown, nbytes, dim = map(int, proc.stdout.split())
+    assert dim == 4 * 441
+    # about 13 MB for the one block's rows; np.kron's dense write adds about 47.5 MB
+    assert grown < nbytes / 2
 
 
 # ------------------------------------------------------------- partial trace
