@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .sweep import (
@@ -44,77 +45,63 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}") from None
+def _typed(kind, expected: str):
+    """A parser applying ``kind``; a value it refuses is a ConfigError naming ``expected``."""
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(f"expected {expected}, got {text!r}") from None
+    return parse
 
 
 def _name_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip() != "")
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}") from None
+_LIST = _typed(lambda text: [float(part) for part in _name_list(text)], "a comma-separated list of numbers")
+_INT = _typed(int, "an integer")
+_FLOAT = _typed(float, "a number")
 
-
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}") from None
-
-
-# config-file key / flag name -> (SweepConfig field, parser).  Both layers
-# funnel through this one table so a value behaves identically whether it
-# came from a file or from the command line.
+# config-file key / flag name -> (SweepConfig field, parser, metavar, help).
+# Both layers funnel through this one table so a value behaves identically
+# whether it came from a file or from the command line, and every
+# subcommand's flags are built from it, in this order.
 _SETTINGS = {
-    "s": ("s_values", _float_list),
-    "r": ("r_values", _float_list),
-    "lt_start": ("lt_start", _float),
-    "lt_stop": ("lt_stop", _float),
-    "lt_steps": ("lt_steps", _int),
-    "initial": ("initials", _name_list),
-    "engine": ("engine", str.strip),
-    "tail_tol": ("tail_tol", _float),
-    "n_max": ("n_max", _int),
-    "out": ("out", str),
+    "s": ("s_values", _LIST, "LIST", "squeezing values, comma separated"),
+    "r": ("r_values", _LIST, "LIST", "beam-splitter reflection values in [0, 1], comma separated"),
+    "lt_start": ("lt_start", _FLOAT, "X", "first interaction time (lambda*t)"),
+    "lt_stop": ("lt_stop", _FLOAT, "X", "last interaction time"),
+    "lt_steps": ("lt_steps", _INT, "N", "number of time samples (>= 1)"),
+    "initial": ("initials", _name_list, "LIST", "initial atom states, comma separated (gg, ee)"),
+    "engine": ("engine", str.strip, "NAME", "analytic, oracle, or both"),
+    "tail_tol": ("tail_tol", _FLOAT, "X", "photon-number tail probability kept out of the cutoff"),
+    "n_max": ("n_max", _INT, "N", "explicit photon-number cutoff (overrides --tail-tol)"),
+    "out": ("out", str, "PATH", "write output here instead of stdout"),
 }
 
+# subcommand -> (help, the settings it starts from before the config file and flags)
+_COMMANDS = {
+    "sweep": ("evaluate the measure over a parameter grid", lambda args: SweepConfig()),
+    "preset": ("run a named standard grid", lambda args: preset_config(args.name)),
+    "verify": ("cross-check the closed forms against the dense oracle", lambda args: default_verify_config()),
+}
 
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("grid")
-    g.add_argument("--s", metavar="LIST", help="squeezing values, comma separated")
-    g.add_argument("--r", metavar="LIST", help="beam-splitter reflection values in [0, 1], comma separated")
-    g.add_argument("--lt-start", metavar="X", help="first interaction time (lambda*t)")
-    g.add_argument("--lt-stop", metavar="X", help="last interaction time")
-    g.add_argument("--lt-steps", metavar="N", help="number of time samples (>= 1)")
-    g.add_argument("--initial", metavar="LIST", help="initial atom states, comma separated (gg, ee)")
-    g.add_argument("--engine", metavar="NAME", help="analytic, oracle, or both")
-    g.add_argument("--tail-tol", metavar="X", help="photon-number tail probability kept out of the cutoff")
-    g.add_argument("--n-max", metavar="N", help="explicit photon-number cutoff (overrides --tail-tol)")
-    g.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    g.add_argument("--config", metavar="PATH", help="key = value settings file (flags still win)")
+# error type -> exit code; anything else is a bug and keeps its traceback
+_EXIT_CODES = {ConfigError: 1, OSError: 2, VerificationError: 3}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cvqubits", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p_sweep = sub.add_parser("sweep", help="evaluate the measure over a parameter grid", allow_abbrev=False)
-    _add_grid_flags(p_sweep)
-
-    p_preset = sub.add_parser("preset", help="run a named standard grid", allow_abbrev=False)
-    p_preset.add_argument("name", choices=("fig2", "fig3"), help="which standard grid")
-    _add_grid_flags(p_preset)
-
-    p_verify = sub.add_parser("verify", help="cross-check the closed forms against the dense oracle", allow_abbrev=False)
-    _add_grid_flags(p_verify)
-
+    for command, (summary, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        if command == "preset":
+            p.add_argument("name", choices=("fig2", "fig3"), help="which standard grid")
+        g = p.add_argument_group("grid")
+        for key, (_, _, metavar, text) in _SETTINGS.items():
+            g.add_argument(f"--{key.replace('_', '-')}", metavar=metavar, help=text)
+        g.add_argument("--config", metavar="PATH", help="key = value settings file (flags still win)")
     return parser
 
 
@@ -142,12 +129,11 @@ def _apply(config: SweepConfig, key: str, raw, source: str) -> SweepConfig:
     if name not in _SETTINGS:
         known = ", ".join(sorted(_SETTINGS))
         raise ConfigError(f"{source}: unknown setting {key!r} (known: {known})")
-    field_name, parse = _SETTINGS[name]
+    field_name, parse = _SETTINGS[name][:2]
     return replace(config, **{field_name: parse(raw)})
 
 
-def _resolve_config(base: SweepConfig, args: argparse.Namespace) -> SweepConfig:
-    config = base
+def _resolve_config(config: SweepConfig, args: argparse.Namespace) -> SweepConfig:
     if args.config is not None:
         for key, value in _read_config_file(args.config).items():
             config = _apply(config, key, value, source=args.config)
@@ -158,54 +144,40 @@ def _resolve_config(base: SweepConfig, args: argparse.Namespace) -> SweepConfig:
     return config.validate()
 
 
-def _emit_rows(config: SweepConfig) -> None:
+def _output(config: SweepConfig):
+    """The stream a command writes to: the ``--out`` file, or stdout."""
+    if config.out is None:
+        return nullcontext(sys.stdout)
+    return open(config.out, "w", encoding="utf-8", newline="\n")
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    config = _resolve_config(_COMMANDS[args.command][1](args), args)
+    if args.command == "verify":
+        with _output(config) as fh:
+            ok = verify(config, fh)
+        if not ok:
+            raise VerificationError("cross-engine verification failed")
+        return 0
     rows = run_sweep(config)
-    if config.out is not None:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
+    with _output(config) as fh:
+        write_csv(rows, fh)
     if config.engine == "both":
         worst = worst_disagreement(rows)
         if not worst < DISAGREE_TOL:  # a NaN fails too
             raise VerificationError(
                 f"engines disagree by up to {worst:.3e} (tolerance {DISAGREE_TOL:.0e})"
             )
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "sweep":
-        _emit_rows(_resolve_config(SweepConfig(), args))
-        return 0
-    if args.command == "preset":
-        _emit_rows(_resolve_config(preset_config(args.name), args))
-        return 0
-    if args.command == "verify":
-        config = _resolve_config(default_verify_config(), args)
-        if config.out is not None:
-            with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-                ok = verify(config, fh)
-        else:
-            ok = verify(config, sys.stdout)
-        if not ok:
-            raise VerificationError("cross-engine verification failed")
-        return 0
-    raise ConfigError(f"unknown command {args.command!r}")
+    return 0
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _dispatch(args)
-    except ConfigError as err:
+    except tuple(_EXIT_CODES) as err:
         print(f"cvqubits: error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"cvqubits: error: {err}", file=sys.stderr)
-        return 2
-    except VerificationError as err:
-        print(f"cvqubits: error: {err}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
 def entry() -> None:

@@ -69,6 +69,10 @@ class SqueezeParam:
         s = float(self.s)
         if not math.isfinite(s) or s < 0.0:
             raise ValueError(f"squeezing parameter must be finite and >= 0, got {self.s}")
+        try:
+            math.cosh(s) ** 2  # the weight table divides by it
+        except OverflowError:
+            raise ValueError(f"squeezing parameter {self.s} overflows cosh(s)**2") from None
         object.__setattr__(self, "s", s)
 
     @property

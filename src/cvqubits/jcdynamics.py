@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldprep import CavityFieldState, _times
+from .fieldprep import CavityFieldState, _times, _whole
 from .tensorops import DensityOperator, TruncatedFockSpace, mat_exp, partial_trace
 
 __all__ = [
@@ -115,9 +115,7 @@ def jc_unitary(lt: float, field_dim: int) -> np.ndarray:
     nowhere to go; keep populated levels below the top (see EVOLVE_PAD).
     """
     times = _times([lt])
-    if field_dim < 2:
-        raise ValueError(f"field_dim must be >= 2, got {field_dim}")
-    dim = field_dim
+    dim = _whole(field_dim, "field_dim", 2)
     excited, ground, exchange = (amp[0] for amp in _jc_amplitudes(times, dim))
     level = np.arange(dim)
     u = np.zeros((2 * dim, 2 * dim), dtype=complex)
@@ -131,9 +129,7 @@ def jc_unitary(lt: float, field_dim: int) -> np.ndarray:
 def jc_unitary_oracle(lt: float, field_dim: int) -> np.ndarray:
     """Same unitary by exponentiating the block interaction Hamiltonian."""
     lt = float(_times([lt])[0])
-    if field_dim < 2:
-        raise ValueError(f"field_dim must be >= 2, got {field_dim}")
-    dim = field_dim
+    dim = _whole(field_dim, "field_dim", 2)
     lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     h = np.zeros((2 * dim, 2 * dim), dtype=complex)
     h[:dim, dim:] = lower

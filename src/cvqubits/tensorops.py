@@ -14,7 +14,6 @@ of one size in one stacked eigensolve.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,22 +230,10 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     if len(kept) == nf:
         return rho
 
-    letters = iter(string.ascii_letters)
-    row, col, out_row, out_col = [], [], [], []
-    kept_set = set(kept)
-    for i in range(nf):
-        if i in kept_set:
-            r, c = next(letters), next(letters)
-            row.append(r)
-            col.append(c)
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            t = next(letters)  # shared letter contracts the factor
-            row.append(t)
-            col.append(t)
-    sub = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    reduced = np.einsum(sub, rho.matrix.reshape(dims + dims))
+    # factor i's row index is i, its column index nf + i; a traced factor's
+    # column reuses its row index, which contracts it
+    col = [nf + i if i in kept else i for i in range(nf)]
+    reduced = np.einsum(rho.matrix.reshape(dims + dims), list(range(nf)) + col, kept + [nf + i for i in kept])
     kdims = tuple(dims[i] for i in kept)
     space = TruncatedFockSpace(kdims)
     return DensityOperator(space, reduced.reshape(space.total_dim, space.total_dim), rho.tail_weight)

@@ -170,6 +170,13 @@ def test_xstate_rejects_degenerate_cutoff():
         xstate_series(0.65, 0.0, 1.0, 0, "gg")
 
 
+def test_xstate_refuses_a_squeezing_whose_cosh_squared_overflows():
+    # this used to end in a bare OverflowError: math range error
+    for lts in (1.0, [0.0, 1.0]):
+        with pytest.raises(ValueError, match="squeezing parameter 800.0 overflows cosh"):
+            xstate_series(800.0, 0.0, lts, 5, "gg")
+
+
 def test_xstate_and_weight_table_take_only_a_whole_cutoff():
     # 2.9 used to be floored to 2 without a word
     for bad in (2.9, math.nan):

@@ -1,8 +1,10 @@
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +294,34 @@ def test_budget_counts_one_ladder_per_distinct_r():
         SweepConfig(s_values=[3.7], r_values=three).validate()
 
 
+def test_budget_counts_the_rows_run_sweep_holds():
+    # 10^8 rows, about 30 GiB of SweepRows, where the arrays alone plan for 0.27 GiB
+    config = SweepConfig(s_values=[0.002 * i for i in range(1000)], r_values=[0.0, 0.25, 0.7, 0.99],
+                         initials=("gg", "ee"), lt_stop=15.0, lt_steps=12500)
+    assert sweep_mod._peak_bytes(313, config.lt_steps, "analytic", 4) < sweep_mod.MEMORY_BUDGET
+    with pytest.raises(ConfigError, match="take fewer --lt-steps or take fewer --r values, "
+                                          "--s values or --initial states"):
+        config.validate()
+
+
+@pytest.mark.parametrize("engine", ["analytic", "both"])
+def test_row_bytes_cover_the_rows_run_sweep_holds(engine):
+    # 10 000 rows at a small cutoff, so the rows outweigh the series' arrays
+    config = SweepConfig(s_values=[0.3], r_values=[0.0, 0.7], lt_stop=15.0, lt_steps=2500,
+                         initials=("gg", "ee"), engine=engine, n_max=6)
+    run_sweep(replace(config, lt_steps=1))  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows = run_sweep(config)
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 10000
+    assert held <= sweep_mod.ROW_BYTES * len(rows)
+    assert peak <= sweep_mod._peak_bytes(6, config.lt_steps, engine, 2) + sweep_mod.ROW_BYTES * len(rows)
+
+
 def test_standard_grids_fit_the_memory_budget():
     for config in (preset_config("fig2"), preset_config("fig3"), default_verify_config()):
         config.validate()
@@ -567,8 +597,13 @@ def test_cli_sweep_both_exits_three_on_disagreement(tmp_path, capsys, monkeypatc
 
 
 def test_module_entry_point_smoke():
+    # the child finds this checkout's package whether or not PYTHONPATH names it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-m", "cvqubits", "sweep", "--s", "0.3", "--lt-stop", "1", "--lt-steps", "2"],
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,

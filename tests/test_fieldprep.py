@@ -37,6 +37,19 @@ def test_squeeze_param_rejects_bad_values():
             SqueezeParam(bad)
 
 
+@pytest.mark.parametrize("s", [355.5, 356.0, 800.0])
+def test_squeeze_param_refuses_an_overflowing_cosh_squared(s):
+    # squeezed_state(800) used to end in a bare OverflowError: math range error
+    try:
+        math.cosh(s) ** 2
+    except OverflowError:
+        for build in (SqueezeParam, lambda s: squeezed_state(s, TruncationPolicy(n_max=5))):
+            with pytest.raises(ValueError, match=f"squeezing parameter {s} overflows cosh"):
+                build(s)
+    else:
+        assert squeezed_state(s, TruncationPolicy(n_max=5)).tail_weight > 0.0
+
+
 def test_coupling_param_theta_consistency():
     c = CouplingParam(0.25)
     assert c.theta == pytest.approx(2.0 * math.acos(0.25))

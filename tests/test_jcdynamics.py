@@ -122,6 +122,16 @@ def test_jc_unitary_rejects_tiny_space():
         jc_unitary(1.0, 1)
 
 
+@pytest.mark.parametrize("build", [jc_unitary, jc_unitary_oracle])
+def test_jc_unitary_takes_only_a_whole_field_dim(build):
+    # 2.5 used to die in np.arange/np.zeros with a TypeError
+    with pytest.raises(ValueError, match="field_dim must be a whole number, got 2.5"):
+        build(1.0, 2.5)
+    with pytest.raises(ValueError, match="field_dim must be >= 2, got 1"):
+        build(1.0, 1)
+    assert np.array_equal(build(1.0, 3.0), build(1.0, 3)) and build(1.0, np.int64(3)).shape == (6, 6)
+
+
 @pytest.mark.parametrize("dim", [5, 15, 31])
 @pytest.mark.parametrize("lt", LT_GRID)
 def test_jc_unitary_matches_exponential(lt, dim):
