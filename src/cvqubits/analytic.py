@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldprep import _as_coupling, _as_squeeze, _times, _whole, binom_ladder
+from .fieldprep import _as_coupling, _as_squeeze, _ladder_corner, _times, _whole, binom_ladder
 
 __all__ = [
     "AtomXState",
@@ -88,17 +88,9 @@ class WeightTable:
         self.coupling = cp = _as_coupling(r)
         self.n_max = n_max = _whole(n_max, "n_max", 0)
         if ladder is None:
-            ladder = binom_ladder(n_max + 1, cp)
-        elif not isinstance(ladder, np.ndarray):
-            raise ValueError(f"ladder must be a 2-D array, got a {type(ladder).__name__}")
-        elif ladder.ndim != 2:
-            raise ValueError(f"ladder must be a 2-D array, got shape {ladder.shape}")
-        elif min(ladder.shape) < n_max + 2:
-            raise ValueError(f"ladder of shape {ladder.shape} is too small for n_max {n_max}")
-        # level 1 takes binom_ladder's exact branch: its entries are r and sqrt(1 - r^2) exactly
-        elif ladder[1, 0] != cp.cos_half or ladder[1, 1] != cp.sin_half:
-            raise ValueError(f"ladder was not built for r = {cp.r}")
-        self.ladder = ladder[: n_max + 2, : n_max + 2]
+            self.ladder = binom_ladder(n_max + 1, cp)
+        else:
+            self.ladder = _ladder_corner(ladder, cp, n_max, n_max + 2)
         powers = self.s.tanh ** np.arange(2 * n_max + 3, dtype=float)
         self.prefactor = powers / self.s.cosh**2
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .tensorops import DensityOperator, StateVector, TruncatedFockSpace, _component_labels
 
@@ -220,18 +220,40 @@ class CavityFieldState:
         row_start = np.zeros(dim2, dtype=np.intp)
         row_start[every] = np.repeat(np.cumsum(sizes**2) - sizes**2, sizes) + place * np.repeat(sizes, sizes)
         object.__setattr__(self, "_gather", (flat, label, pos, row_start))
+        object.__setattr__(self, "_slices", {})
 
-    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def entries(self, rows, cols) -> np.ndarray:
         """The field's entries at (rows, cols), read from the blocks in one gather.
 
-        ``rows`` and ``cols`` are flat-index arrays of one shape; entries in
-        no common block are 0.  The result has the blocks' dtype.
+        ``rows`` and ``cols`` are flat indices in [0, (n_max + 1)^2), of one
+        shape; entries in no common block are 0.  The result has the blocks'
+        dtype.
         """
         flat, label, pos, row_start = self._gather
+        rows, cols = (_flat_indices(v, knob, label.size) for v, knob in ((rows, "rows"), (cols, "cols")))
+        if rows.shape != cols.shape:
+            raise ValueError(f"cols of shape {cols.shape} does not match rows of shape {rows.shape}")
         inside = (label[rows] == label[cols]) & (label[rows] >= 0)
-        out = np.zeros(np.shape(rows), dtype=flat.dtype)
+        out = np.zeros(rows.shape, dtype=flat.dtype)
         out[inside] = flat[row_start[rows[inside]] + pos[cols[inside]]]
         return out
+
+    def field_slice(self, d_a: int, d_b: int) -> np.ndarray | None:
+        """S[nA, nB] = rho[(nA, nB), (nA - d_a, nB - d_b)] over the in-range nA, nB.
+
+        None where the slice holds only zeros (no block of the field reaches
+        it, say).  Gathered through :meth:`entries` on first use and kept,
+        read-only, as long as the field.
+        """
+        if (d_a, d_b) not in self._slices:
+            dim = self.n_max + 1
+            na = np.arange(max(0, d_a), dim + min(0, d_a))
+            nb = np.arange(max(0, d_b), dim + min(0, d_b))
+            rows = na[:, None] * dim + nb
+            got = self.entries(rows, rows - (d_a * dim + d_b))
+            got.flags.writeable = False
+            self._slices[d_a, d_b] = got if got.any() else None
+        return self._slices[d_a, d_b]
 
     @cached_property
     def rho(self) -> DensityOperator:
@@ -241,6 +263,14 @@ class CavityFieldState:
         for idx, block in self.blocks:
             m[np.ix_(idx, idx)] = block
         return DensityOperator(TruncatedFockSpace((dim, dim)), m, self.tail_weight)
+
+
+def _flat_indices(value, knob: str, size: int) -> np.ndarray:
+    """``value`` as an intp array; ``ValueError``, naming ``knob``, if any index is outside [0, size)."""
+    value = np.asarray(value, dtype=np.intp)
+    if value.size and (value.min() < 0 or value.max() >= size):
+        raise ValueError(f"{knob} must lie in [0, {size}), got {value.min()} to {value.max()}")
+    return value
 
 
 def _as_squeeze(s) -> SqueezeParam:
@@ -360,6 +390,32 @@ def binom_ladder(n_top: int, coupling) -> np.ndarray:
     return ladder
 
 
+def _ladder_corner(ladder, coupling: CouplingParam, n_max: int, rungs: int) -> np.ndarray:
+    """The top-left ``rungs``-square corner of a caller's :func:`binom_ladder`, as a view.
+
+    A ladder is bit for bit the corner of any larger one for the same r.
+    One that is not a 2-D ndarray, has fewer than ``rungs`` (or 2) rungs,
+    or was built for another r is refused, naming the cutoff ``n_max``.
+    """
+    if not isinstance(ladder, np.ndarray):
+        raise ValueError(f"ladder must be a 2-D array, got a {type(ladder).__name__}")
+    if ladder.ndim != 2:
+        raise ValueError(f"ladder must be a 2-D array, got shape {ladder.shape}")
+    if min(ladder.shape) < max(rungs, 2):
+        raise ValueError(f"ladder of shape {ladder.shape} is too small for n_max {n_max}")
+    # level 1 takes binom_ladder's exact branch: its entries are r and sqrt(1 - r^2) exactly
+    if ladder[1, 0] != coupling.cos_half or ladder[1, 1] != coupling.sin_half:
+        raise ValueError(f"ladder was not built for r = {coupling.r}")
+    return ladder[:rungs, :rungs]
+
+
+def _diagonals(a: np.ndarray) -> np.ndarray:
+    """Read-only view D[k, j] = a[j + k, j] of a (2 dim x dim) array, (dim x dim), no copy."""
+    dim = a.shape[1]
+    row, col = a.strides
+    return as_strided(a, shape=(dim, dim), strides=(row, row + col), writeable=False)
+
+
 def _check_two_mode(psi: StateVector) -> int:
     dims = psi.space.factor_dims
     if len(dims) != 2 or dims[0] != dims[1]:
@@ -367,7 +423,7 @@ def _check_two_mode(psi: StateVector) -> int:
     return dims[0]
 
 
-def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldState:
+def inject(psi: StateVector, coupling, *, s=None, policy=None, ladder=None) -> CavityFieldState:
     """Joint cavity field after the beam splitters, from the number expansion.
 
     Conditioning on (k, l) photons escaping through the two reflected ports
@@ -378,13 +434,21 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
     B[k, nA] = d[n] * row[n][k] * row[n][k + delta] with n = nA + k, read
     from the rung-ordered :func:`binom_ladder` as d[n] * L[n, nA] * L[n, nB];
     the field's block over the sector's (nA, nA - delta) is the real B^T B,
-    and nothing couples two sectors.  Only real amplitudes on the twin
-    levels |n, n> enter, so any other input is refused: :func:`inject_oracle`
-    takes it.  ``s`` (checked as a :class:`SqueezeParam`) and ``policy`` are
-    recorded on the field as given, None by default; no route reads them.
+    and nothing couples two sectors.  Both factors of B are plain slices of
+    diagonal views, D[k, j] = a[j + k, j], of the amplitudes and the ladder,
+    so no block gathers its entries one by one.  Only real amplitudes on
+    the twin levels |n, n> enter, so any other input is refused:
+    :func:`inject_oracle` takes it.  ``s`` (checked as a
+    :class:`SqueezeParam`) and ``policy`` are recorded on the field as
+    given, None by default; no route reads them.  A ``ladder`` that
+    :func:`binom_ladder` built for the same r at a cutoff of at least n_max
+    is read instead of building one, with the same field bit for bit.
     """
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
+    n_max = dim - 1
+    if ladder is not None:
+        ladder = _ladder_corner(ladder, coupling, n_max, dim)
     amps = psi.amplitudes.reshape(dim, dim)
     twins = amps.diagonal()
     if np.count_nonzero(amps) != np.count_nonzero(twins) or np.any(twins.imag != 0.0):
@@ -393,25 +457,25 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None) -> CavityFieldSta
             "others; use inject_oracle, which takes any two-mode input"
         )
     s = _as_squeeze(s) if s is not None else None
-    n_max = dim - 1
     # levels zero-padded to twice the size, so n = nA + k needs no
     # clipping: every level past the cutoff carries a zero amplitude
     d = np.zeros(2 * dim)
     d[:dim] = twins.real
-    ladder = np.zeros((2 * dim, dim))
-    ladder[:dim] = binom_ladder(n_max, coupling)
-    amp = d[:, None] * ladder  # amp[n, j] = d[n] * row[n][n - j]
+    padded = np.zeros((2 * dim, dim))
+    padded[:dim] = binom_ladder(n_max, coupling) if ladder is None else ladder
+    amp = d[:, None] * padded  # amp[n, j] = d[n] * row[n][n - j]
+    # amp[nA + k, nA] = on_a[k, nA] and L[nA + k, nA - delta] = on_b[k + delta, nA - delta]
+    on_a, on_b = _diagonals(amp), _diagonals(padded)
 
     deltas = range(-n_max, dim)
     flat, views = _square_views([dim - abs(delta) for delta in deltas], float)
     indices = []
     for delta, view in zip(deltas, views):
-        na = np.arange(max(0, delta), dim + min(0, delta))  # nB = nA - delta stays in range
-        k = np.arange(max(0, -delta), dim - na[0])[:, None]  # l = k + delta >= 0
-        n = na + k
-        block = amp[n, na] * ladder[n, na - delta]
+        lo, hi = max(0, delta), dim + min(0, delta)  # nA; nB = nA - delta stays in range
+        k0 = max(0, -delta)  # l = k + delta >= 0
+        block = on_a[k0 : dim - lo, lo:hi] * on_b[k0 + delta : dim - lo + delta, lo - delta : hi - delta]
         np.matmul(block.T, block, out=view)
-        indices.append(na * (dim + 1) - delta)  # flat index of |nA, nA - delta>
+        indices.append(np.arange(lo, hi) * (dim + 1) - delta)  # flat index of |nA, nA - delta>
 
     return CavityFieldState(_Blocks(zip(indices, views), flat), s, policy, n_max, psi.tail_weight)
 

@@ -226,10 +226,12 @@ def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.nd
     transit's amplitudes; a diagonal holds exact zeros where the amplitudes
     vanish (the exchange at lambda_t = 0, say).  Each pair of diagonals
     (dA, dB) meets only the field_dim x field_dim slice
-    rho[(nA, nB), (nA - dA, nB - dB)], gathered from the field's blocks once
-    per call; a slice of only zeros is skipped, as every dA != dB is for an
-    injected twin-photon field.  Any field is handled, whether or not it
-    conserves nA - nB.  The times go SERIES_CHUNK at a time, so the working
+    rho[(nA, nB), (nA - dA, nB - dB)], which
+    :meth:`CavityFieldState.field_slice` gathers from the field's blocks
+    once per field, so every series on one field shares it; a slice of
+    only zeros is skipped, as every dA != dB is for an injected
+    twin-photon field.  Any field is handled, whether or not it conserves
+    nA - nB.  The times go SERIES_CHUNK at a time, so the working
     memory does not grow with their number.  Rows are in the basis
     (|e,e>, |e,g>, |g,e>, |g,g>).
     """
@@ -240,18 +242,6 @@ def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.nd
     occupied = [(int(ia), int(ib)) for ia in range(2) for ib in range(2) if chi[ia, ib] != 0.0]
     pairs = [(ket, bra) for ket in occupied for bra in occupied]
     cols = sorted({(ket[side], bra[side]) for ket, bra in pairs for side in (0, 1)})
-    slices: dict[tuple[int, int], np.ndarray] = {}
-
-    def field_slice(d_a: int, d_b: int) -> np.ndarray | None:
-        # S[nA, nB] = rho[(nA, nB), (nA - dA, nB - dB)] over the in-range nA, nB;
-        # None where it holds only zeros (no block of the field reaches it, say)
-        if (d_a, d_b) not in slices:
-            na = np.arange(max(0, d_a), fdim + min(0, d_a))
-            nb = np.arange(max(0, d_b), fdim + min(0, d_b))
-            rows = na[:, None] * fdim + nb
-            got = field.entries(rows, rows - (d_a * fdim + d_b))
-            slices[d_a, d_b] = got if got.any() else None
-        return slices[d_a, d_b]
 
     stack = np.empty((len(times), 4, 4), dtype=complex)
     for start in range(0, len(times), SERIES_CHUNK):
@@ -265,7 +255,7 @@ def reduce_atoms_series(atoms: AtomState, field: CavityFieldState, lts) -> np.nd
             weight = chi[ket_a, ket_b] * np.conj(chi[bra_a, bra_b])
             for d_a, va in bands[ket_a, bra_a].items():
                 for d_b, vb in bands[ket_b, bra_b].items():
-                    part = field_slice(d_a, d_b)
+                    part = field.field_slice(d_a, d_b)
                     if part is None:
                         continue
                     left = va.reshape(-1, va.shape[2]) @ part

@@ -151,8 +151,8 @@ def _peak_bytes(n_max: int, lt_steps: int, engine: str, r_count: int = 1) -> int
     at n_max 63 with 2000).
     The oracle holds the injected field as its real nA - nB sector blocks,
     8 ((n+1)^2 + n(n+1)(2n+1)/3) B in one buffer (0.42 MB at n_max 42).
-    The blocks' indices, the field's gather tables, inject's ladders and
-    the nonzero field slices that reduce_atoms_series gathers come next to
+    The blocks' indices, the field's gather tables, inject's ladder (none
+    under "both") and the nonzero field slices, kept with the field, sit by
     it: tracemalloc put them at 124 B per (n+1)^2 at n_max 106 and 119 B at
     n_max 200 (one time, superposition), and 192 B leaves half as much
     again.  The series walks the times SERIES_CHUNK at a time, holding the
@@ -216,11 +216,14 @@ def _walk(config: SweepConfig):
     ``reduce_atoms_series`` for the oracle, which takes the times
     SERIES_CHUNK at a time and whose (T, 4, 4) stack comes along with the
     rows (None for the analytic engine alone).  The oracle injects one
-    field when an (s, r) group starts and drops it when the group ends.
-    The analytic engine builds one splitting ladder per r, the first time
-    it meets that r, at the walk's top cutoff, and keeps it for the whole
-    walk: the ladder does not depend on s, and every series reads its
-    top-left corner.
+    field when an (s, r) group starts and drops it when the group ends;
+    the field keeps the slices its series gather, so the group's series
+    share them.  The analytic engine builds one splitting ladder per r
+    when a group first meets that r, at the walk's top cutoff, and keeps
+    it for the whole walk: the ladder does not depend on s, and every
+    series reads its top-left corner.  Under "both", inject reads that
+    corner too and builds no ladder of its own; with the oracle alone it
+    builds one per group.
     """
     config.validate()
     policy = config.policy()
@@ -234,7 +237,10 @@ def _walk(config: SweepConfig):
         n_max, tail = policy.resolve(sq)
         psi = squeezed_state(sq, policy) if use_oracle else None
         for r in config.r_values:
-            field = inject(psi, CouplingParam(r)) if use_oracle else None
+            if use_analytic and r not in ladders:
+                ladders[r] = binom_ladder(n_top + 1, CouplingParam(r))
+            ladder = ladders.get(r)
+            field = inject(psi, CouplingParam(r), ladder=ladder) if use_oracle else None
             for initial in config.initials:
                 gaps = dense = None
                 if use_oracle:
@@ -244,9 +250,7 @@ def _walk(config: SweepConfig):
                     measure = np.full(len(lts), np.nan)
                     measure[hermitian] = negativity_general(dense[hermitian]).measure
                 if use_analytic:
-                    if r not in ladders:
-                        ladders[r] = binom_ladder(n_top + 1, CouplingParam(r))
-                    x = xstate_series(s, r, lts, n_max, initial, ladders[r])
+                    x = xstate_series(s, r, lts, n_max, initial, ladder)
                     closed = negativity_closed_form(x)
                     if use_oracle:
                         # worst distance over the X elements a, b, c, d, e_coh and the measure

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import cvqubits.analytic as analytic_mod
+import cvqubits.fieldprep as fieldprep_mod
 import cvqubits.sweep as sweep_mod
 from cvqubits.analytic import negativity_closed_form, xstate_series
 from cvqubits.cli import main
@@ -26,6 +28,7 @@ from cvqubits.sweep import (
     default_verify_config,
     preset_config,
     run_sweep,
+    verify,
     worst_disagreement,
 )
 
@@ -103,6 +106,26 @@ def test_walk_builds_one_ladder_per_distinct_r(config, built, monkeypatch):
     n_top = max(config.policy().resolve(s)[0] for s in config.s_values)
     assert {n for n, _ in calls} <= {n_top + 1}
     assert len({r for _, r in calls}) == built
+
+
+@pytest.mark.parametrize("engine,built", [("both", 4), ("oracle", 12)])
+def test_verify_grid_builds_one_ladder_per_r_for_both_engines(engine, built, monkeypatch):
+    # with the analytic engine on, inject reads the walk's ladder for its r
+    # and builds none of its own; the oracle alone builds one per (s, r)
+    calls = []
+
+    def counted(n_top, coupling):
+        calls.append((n_top, coupling.r))
+        return binom_ladder(n_top, coupling)
+
+    for module in (sweep_mod, analytic_mod, fieldprep_mod):
+        monkeypatch.setattr(module, "binom_ladder", counted)
+    config = replace(default_verify_config(), engine=engine)
+    run_sweep(config)
+    assert len(calls) == built
+    if engine == "both":
+        assert verify(config, io.StringIO())
+        assert len(calls) == 2 * built
 
 
 def test_oracle_rows_equal_the_per_point_dense_route():

@@ -413,6 +413,108 @@ def test_field_blocks_are_checked_and_packed():
             replace(field, blocks=bad)
 
 
+def test_entries_refuse_bad_indices():
+    # lists read as arrays; a negative index used to wrap to the field's last
+    # entries, and an index past the last pair or a mismatched shape raised
+    # from deep inside numpy, or not at all
+    field = inject(squeezed_state(SqueezeParam(0.65), TruncationPolicy(n_max=3)), CouplingParam(0.3))
+    assert np.array_equal(field.entries([[0, 5], [15, 15]], [[0, 5], [15, 10]]),
+                          field.entries(np.array([[0, 5], [15, 15]]), np.array([[0, 5], [15, 10]])))
+    assert field.entries([], []).shape == (0,)
+    for rows, cols, knob in (
+        ([-1], [0], "rows"),
+        ([0], [-1], "cols"),
+        ([16], [0], "rows"),
+        ([0], [0, 16], "cols"),
+    ):
+        with pytest.raises(ValueError, match=rf"{knob} must lie in \[0, 16\)"):
+            field.entries(np.array(rows), np.array(cols))
+    for rows, cols in (([0, 1], [0]), ([[0, 1]], [0, 1]), (np.arange(4).reshape(2, 2), np.arange(4))):
+        with pytest.raises(ValueError, match="cols of shape .* does not match rows of shape"):
+            field.entries(rows, cols)
+
+
+def diagonal_free_inject_blocks(psi, coupling):
+    """inject's sector blocks through per-entry index gathers, as first written.
+
+    Kept as the reference that the diagonal-view blocks are held against,
+    byte for byte: the same products in the same order, then the same
+    Gram product into a buffer of the same layout.
+    """
+    dim = psi.space.factor_dims[0]
+    n_max = dim - 1
+    d = np.zeros(2 * dim)
+    d[:dim] = psi.amplitudes.reshape(dim, dim).diagonal().real
+    ladder = np.zeros((2 * dim, dim))
+    ladder[:dim] = binom_ladder(n_max, coupling)
+    amp = d[:, None] * ladder
+    out = []
+    for delta in range(-n_max, dim):
+        na = np.arange(max(0, delta), dim + min(0, delta))
+        k = np.arange(max(0, -delta), dim - na[0])[:, None]
+        n = na + k
+        block = amp[n, na] * ladder[n, na - delta]
+        out.append((na * (dim + 1) - delta, np.matmul(block.T, block)))
+    return out
+
+
+def negative_twin_state():
+    """Real twin amplitudes of either sign, some zero, on 30 levels (the ladder's log branch)."""
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=30)
+    amps[[3, 17]] = 0.0
+    return pair_state(amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("source", ["n_max 1", "s 0.65", "log branch", "negative twins"])
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
+def test_inject_blocks_equal_the_per_entry_gathers_byte_for_byte(source, r):
+    psi = {
+        "n_max 1": lambda: squeezed_state(SqueezeParam(0.65), TruncationPolicy(n_max=1)),
+        "s 0.65": lambda: squeezed_state(SqueezeParam(0.65)),
+        "log branch": lambda: squeezed_state(SqueezeParam(1.0)),  # n_max 42
+        "negative twins": negative_twin_state,
+    }[source]()
+    got = inject(psi, CouplingParam(r)).blocks
+    ref = diagonal_free_inject_blocks(psi, CouplingParam(r))
+    assert len(got) == len(ref)
+    for (idx, block), (ref_idx, ref_block) in zip(got, ref):
+        assert np.array_equal(idx, ref_idx)
+        assert block.tobytes() == ref_block.tobytes()
+
+
+def test_inject_refuses_a_ladder_it_cannot_read():
+    psi = squeezed_state(SqueezeParam(0.65), TruncationPolicy(n_max=9))
+    ladder = binom_ladder(9, CouplingParam(0.25))  # levels 0..9 serve n_max up to 9
+    inject(psi, CouplingParam(0.25), ladder=ladder)
+    for other in (ladder.tolist(), tuple(map(tuple, ladder.tolist()))):
+        with pytest.raises(ValueError, match=r"ladder must be a 2-D array, got a (list|tuple)"):
+            inject(psi, CouplingParam(0.25), ladder=other)
+    for flat in (np.zeros(200), ladder.ravel(), np.zeros((2, 12, 12))):
+        with pytest.raises(ValueError, match="ladder must be a 2-D array, got shape"):
+            inject(psi, CouplingParam(0.25), ladder=flat)
+    for short in (ladder[:9], ladder[:, :9], binom_ladder(8, CouplingParam(0.25))):
+        with pytest.raises(ValueError, match="too small for n_max 9"):
+            inject(psi, CouplingParam(0.25), ladder=short)
+    for r in (0.0, 0.7, 1.0, math.nextafter(0.25, 1.0)):
+        with pytest.raises(ValueError, match="not built for r = 0.25"):
+            inject(psi, CouplingParam(0.25), ladder=binom_ladder(9, CouplingParam(r)))
+
+
+@pytest.mark.parametrize("r", [-0.0, 0.0, 0.25, 0.99, 1.0])
+@pytest.mark.parametrize("s", [0.3, 1.0])
+def test_inject_reads_the_corner_of_a_given_ladder(s, r):
+    # one ladder at a larger cutoff gives the field bit for bit; one built
+    # for -0.0 serves 0.0 and the other way round, as they are one reflection
+    psi = squeezed_state(SqueezeParam(s))
+    alone = inject(psi, CouplingParam(r))
+    for built in (r, -r) if r == 0.0 else (r,):
+        shared = inject(psi, CouplingParam(r), ladder=binom_ladder(43, CouplingParam(built)))
+        assert shared.blocks.flat.tobytes() == alone.blocks.flat.tobytes()
+        for (idx, _), (ref_idx, _) in zip(shared.blocks, alone.blocks):
+            assert np.array_equal(idx, ref_idx)
+
+
 def reference_inject(psi, coupling):
     """The number expansion through one (n+1)^2-square branch matrix, as first written.
 

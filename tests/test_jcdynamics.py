@@ -11,6 +11,7 @@ import pytest
 from cvqubits import analytic, jcdynamics
 from cvqubits.entanglement import negativity_general
 from cvqubits.fieldprep import (
+    CavityFieldState,
     CouplingParam,
     SqueezeParam,
     TruncationPolicy,
@@ -442,6 +443,35 @@ def test_series_of_a_field_that_breaks_photon_difference(name):
     r2 = regroup(field)
     for lt, got in zip(SERIES_LTS, stack):
         assert np.max(np.abs(got - reference_reduce_atoms_direct(atoms, r2, lt))) < 1e-13
+
+
+def test_series_gather_each_field_slice_once_per_field(monkeypatch):
+    # an (s, r) group's gg and ee series meet the same nine (dA, dB) slices:
+    # the ee series reuses what the gg one gathered, and every series on a
+    # reused field equals, bit for bit, one on a fresh field
+    def fresh():
+        return inject(squeezed_state(SqueezeParam(0.65), TruncationPolicy()), CouplingParam(0.25))
+
+    names = ("gg", "ee", "superposition")
+    alone = [reduce_atoms_series(AtomState(REDUCE_ATOMS[name]), fresh(), SERIES_LTS) for name in names]
+    gathers = []
+    entries = CavityFieldState.entries
+
+    def counted(self, rows, cols):
+        gathers.append(np.shape(rows))
+        return entries(self, rows, cols)
+
+    monkeypatch.setattr(CavityFieldState, "entries", counted)
+    field = fresh()
+    shared = [reduce_atoms_series(AtomState(REDUCE_ATOMS[name]), field, SERIES_LTS) for name in names[:2]]
+    assert len(gathers) == 9
+    shared.append(reduce_atoms_series(AtomState(REDUCE_ATOMS[names[2]]), field, SERIES_LTS))
+    assert len(gathers) == 25  # a superposition meets every (dA, dB) with |dA|, |dB| <= 2
+    for name, got, ref in zip(names, shared, alone):
+        assert got.tobytes() == ref.tobytes(), name
+    part = field.field_slice(0, 0)
+    assert part is field.field_slice(0, 0) and not part.flags.writeable
+    assert field.field_slice(1, 0) is None  # no twin-photon block reaches dA != dB
 
 
 def test_series_builds_no_dense_unitary(monkeypatch):
