@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldprep import CavityFieldState, _times, _whole
-from .tensorops import DensityOperator, TruncatedFockSpace, mat_exp, partial_trace
+from .tensorops import DensityOperator, TruncatedFockSpace, _zeros, mat_exp, partial_trace
 
 __all__ = [
     "AtomState",
@@ -145,9 +145,12 @@ def evolve(atoms: AtomState, field: CavityFieldState, lt: float, method: str = "
     (occupied atoms) x idx as kron(rho_atoms, block).  In pair order (atom
     A, field A, atom B, field B) its share of U R U^dagger, U = kron(u, u),
     is one product w R w^dagger, w being U's columns over the block's rows
-    on the rows they reach, added into a zero output.  Only the output is
-    composite-sized (72 MB at s = 0.65); for the reduced atom state at
-    large cutoffs use :func:`reduce_atoms_direct`.
+    on the rows they reach, whose nonzero entries are added into a zero
+    output.  Only the output is composite-sized (72 MB at s = 0.65, 0.15 %
+    of it nonzero); it comes from :func:`~cvqubits.tensorops._zeros`, a
+    private mapping that backs only the pages written, so it holds about
+    4 MB there.  For the reduced atom state at large cutoffs use
+    :func:`reduce_atoms_direct`.
     """
     build = {"closed_form": jc_unitary, "hamiltonian": jc_unitary_oracle}.get(method)
     if build is None:
@@ -160,7 +163,7 @@ def evolve(atoms: AtomState, field: CavityFieldState, lt: float, method: str = "
 
     occupied = np.flatnonzero(atoms.vector)
     rho_atoms = atoms.density()[np.ix_(occupied, occupied)]
-    out = np.zeros((4 * big * big,) * 2, dtype=complex)
+    out = _zeros((4 * big * big,) * 2)
     for idx, block in field.blocks:
         # the block's rows in pair order, atoms slow as in kron(rho_atoms, block)
         f_a, f_b = np.divmod(idx, fdim)
@@ -172,7 +175,8 @@ def evolve(atoms: AtomState, field: CavityFieldState, lt: float, method: str = "
         part = w @ np.kron(rho_atoms, block) @ w.conj().T
         # pair order (aA fA, aB fB) -> (aA, aB, fA, fB)
         at = np.ravel_multi_index((n_a // big, n_b // big, n_a % big, n_b % big), (2, 2, big, big))
-        out[np.ix_(at, at)] += part
+        r, c = np.nonzero(part)  # skipping a zero cannot change a sum that starts at +0.0
+        out[at[r], at[c]] += part[r, c]
 
     space = TruncatedFockSpace((2, 2, big, big))
     return EvolvedState(DensityOperator(space, out, field.tail_weight))

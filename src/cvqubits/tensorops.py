@@ -10,6 +10,14 @@ only, and exponentiates them sector by sector.  The positivity check of
 :meth:`DensityOperator.validate` splits a state into the connected
 components of its nonzero pattern the same way, and solves all components
 of one size in one stacked eigensolve.
+
+The two composite-sized outputs, :func:`kron`'s here and
+:func:`~cvqubits.jcdynamics.evolve`'s, come from :func:`_zeros`: a private
+anonymous mapping, whose pages the kernel backs only once they are
+written, so a sparse composite holds memory for the pages it writes.  A
+read of an unwritten page maps the kernel's shared zero page.  The mapping
+is private because a shared one is shared memory, which backs a page on a
+read too.
 """
 
 from __future__ import annotations
@@ -190,6 +198,22 @@ def _violations(stack, tail_weight, herm_tol, psd_floor, trace_tol) -> list[str 
     return [first(d, t, w) for d, t, w in zip(dev.tolist(), tr.tolist(), wmin.tolist())]
 
 
+def _zeros(shape) -> np.ndarray:
+    """Complex zeros of ``shape`` in a fresh private anonymous mapping.
+
+    A page is backed only once it is written, and reads of unwritten pages
+    cost no memory.  ``MAP_PRIVATE`` matters: Python's default anonymous
+    ``mmap`` is ``MAP_SHARED``, which backs every page it reads.  The
+    array's base holds the mapping; pickling or copying the array gives an
+    ordinary array.
+    """
+    import mmap  # here, so that importing the package does not load it
+
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, count * np.dtype(complex).itemsize, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buf, dtype=complex, count=count).reshape(shape)
+
+
 def kron(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Tensor product of two density operators.
 
@@ -199,15 +223,16 @@ def kron(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     Only the blocks under nonzero entries of ``a`` are written, each the
     same product ``np.kron`` forms, bit for bit; a zero entry of ``a``
     leaves its block at exact +0.0 (never -0.0, nor a NaN from ``b``).
-    The rest of the output is never touched, so a basis-state atom factor
-    backs only one block of the composite's pages.
+    The rest of the output is never touched, and the output comes from
+    :func:`_zeros`, so a basis-state atom factor backs only the pages of one
+    block of the composite.
     """
     if not (isinstance(a, DensityOperator) and isinstance(b, DensityOperator)):
         raise TypeError("kron needs two DensityOperators")
     space = TruncatedFockSpace(a.space.factor_dims + b.space.factor_dims)
     tail = 1.0 - (1.0 - a.tail_weight) * (1.0 - b.tail_weight)
     (ra, ca), (rb, cb) = a.matrix.shape, b.matrix.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
+    out = _zeros((ra * rb, ca * cb))
     # (ra, rb, ca, cb) view of the output: entry a[i, k] scales block (i, :, k, :)
     a4 = a.matrix[:, None, :, None]
     np.multiply(a4, b.matrix[None, :, None, :], out=out.reshape(ra, rb, ca, cb), where=a4 != 0)

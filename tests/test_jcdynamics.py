@@ -33,6 +33,7 @@ from cvqubits.jcdynamics import (
     reduce_atoms_series,
     total_excitation,
 )
+from test_tensorops import needs_vmrss, run_fresh
 
 LT_GRID = [0.1, 1.0, 5.0, 11.0, 15.0]
 # starts at lambda_t = 0, where the off-diagonal bands vanish, and crosses
@@ -263,6 +264,86 @@ def test_composite_at_s065_holds_little_beyond_its_output():
     assert out.rho.matrix.shape == (2116, 2116)
     assert evolve_peak <= 1.25 * out.rho.matrix.nbytes
     assert validate_peak <= 0.25 * out.rho.matrix.nbytes
+
+
+def ix_evolve(atoms, field, lt, method):
+    """evolve with each share added over its whole index grid, zeros too, as first written.
+
+    Kept as the reference that evolve's nonzero-only adds are held against,
+    word for word.  Also returns the mask of the entries some share's grid
+    reaches.
+    """
+    build = jc_unitary if method == "closed_form" else jc_unitary_oracle
+    fdim = field.n_max + 1
+    big = fdim + EVOLVE_PAD
+    u = build(lt, big)
+    link = u != 0
+    occupied = np.flatnonzero(atoms.vector)
+    rho_atoms = atoms.density()[np.ix_(occupied, occupied)]
+    out = np.zeros((4 * big * big,) * 2, dtype=complex)
+    reached = np.zeros(out.shape, dtype=bool)
+    for idx, block in field.blocks:
+        f_a, f_b = np.divmod(idx, fdim)
+        in_a = ((occupied[:, None] // 2) * big + f_a).reshape(-1)
+        in_b = ((occupied[:, None] % 2) * big + f_b).reshape(-1)
+        n_a, n_b = np.nonzero(link[:, in_a] @ link[:, in_b].T)
+        w = u[n_a][:, in_a] * u[n_b][:, in_b]
+        part = w @ np.kron(rho_atoms, block) @ w.conj().T
+        at = np.ravel_multi_index((n_a // big, n_b // big, n_a % big, n_b % big), (2, 2, big, big))
+        out[np.ix_(at, at)] += part
+        reached[np.ix_(at, at)] = True
+    return out, reached
+
+
+# the referee's two composite fields, and a field built by the oracle
+BIT_FIELDS = {
+    "referee s 0.65": lambda: inject(squeezed_state(SqueezeParam(0.65)), CouplingParam(0.0)),
+    "referee s 0.3": lambda: inject(squeezed_state(SqueezeParam(0.3)), CouplingParam(0.25)),
+    "oracle r 0.7": lambda: inject_oracle(squeezed_state(SqueezeParam(0.4), TruncationPolicy(n_max=6)), CouplingParam(0.7)),
+}
+
+
+@pytest.mark.parametrize("method", ["closed_form", "hamiltonian"])
+@pytest.mark.parametrize("source", sorted(BIT_FIELDS))
+def test_evolve_adds_only_nonzeros_bit_for_bit(source, method):
+    # skipping a share's +-0 entries cannot change a sum that starts at +0.0,
+    # and a NaN would still be added; entries no share reaches stay +0.0
+    field = BIT_FIELDS[source]()
+    for initial in ["gg", "ee", "eg", 0.5 * np.array([1, 1j, -1, 1j])]:
+        atoms = AtomState(initial)
+        for lt in (0.0, 1.0, 5.0, 11.0):
+            got = evolve(atoms, field, lt, method=method).rho.matrix
+            ref, reached = ix_evolve(atoms, field, lt, method)
+            words = got.view(np.uint64)
+            assert np.array_equal(words, ref.view(np.uint64)), (initial, lt)
+            # every word with a bit set lies where some share's grid reaches
+            assert np.count_nonzero(words) == np.count_nonzero(got[reached].view(np.uint64)), (initial, lt)
+            del got, words, ref, reached  # one composite pair at a time
+
+
+EVOLVE_FOOTPRINT = """
+from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
+from cvqubits.jcdynamics import AtomState, evolve, reduce_atoms, total_excitation
+
+field = inject(squeezed_state(SqueezeParam(0.65), TruncationPolicy()), CouplingParam(0.0))
+before = rss_bytes()
+out = evolve(AtomState("gg"), field, 11.0)
+out.rho.validate(herm_tol=1e-10, psd_floor=-1e-10, trace_tol=1e-10)
+total_excitation(out.rho)
+reduce_atoms(out)
+print(rss_bytes() - before, out.rho.matrix.nbytes, out.rho.matrix.shape[0])
+"""
+
+
+@needs_vmrss
+def test_composite_at_s065_backs_little_of_its_output():
+    # the referee's composite (72 MB, 6561 nonzeros in 81 rows): evolve writes
+    # only the nonzeros into a mapping that backs only written pages, and the
+    # checks' reads of the rest map no memory.  About 5 MB; an np.zeros output
+    # written over each share's whole index grid grows about 74 MB
+    grown, nbytes, dim = run_fresh(EVOLVE_FOOTPRINT)
+    assert dim == 2116
+    assert grown < nbytes / 4
 
 
 def test_evolve_methods_agree():

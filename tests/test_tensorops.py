@@ -1,4 +1,7 @@
+import copy
+import mmap
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +21,7 @@ from cvqubits.tensorops import (
     mat_exp,
     partial_trace,
 )
-from cvqubits.tensorops import HERM_TOL_BUILT, PSD_FLOOR, _sectors, _transpose_factor, _violations
+from cvqubits.tensorops import HERM_TOL_BUILT, PSD_FLOOR, _sectors, _transpose_factor, _violations, _zeros
 
 RNG = np.random.default_rng(20260815)
 
@@ -186,14 +189,36 @@ def test_kron_leaves_positive_zero_blocks_under_zero_entries(name):
         assert not zero_blocks.view(np.uint64).any()
 
 
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter on this checkout and return the integers it prints.
+
+    The script may call ``rss_bytes()``, the process's resident size read
+    from /proc/self/status.  tracemalloc counts allocations, not the pages
+    behind them, and no ``mmap`` at all, so footprints are read this way.
+    """
+    prelude = """
+def rss_bytes():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmRSS:"))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [int(word) for word in proc.stdout.split()]
+
+
+needs_vmrss = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="VmRSS is read from /proc/self/status"
+)
+
 KRON_FOOTPRINT = """
 from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, inject, squeezed_state
 from cvqubits.jcdynamics import AtomState
 from cvqubits.tensorops import DensityOperator, TruncatedFockSpace, kron
-
-def rss_bytes():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmRSS:"))
 
 field = inject(squeezed_state(SqueezeParam(0.65), TruncationPolicy()), CouplingParam(0.0)).rho
 atoms = DensityOperator(TruncatedFockSpace((2, 2)), AtomState("gg").density())
@@ -203,21 +228,36 @@ print(rss_bytes() - before, out.matrix.nbytes, out.matrix.shape[0])
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmRSS is read from /proc/self/status")
+@needs_vmrss
 def test_kron_backs_only_the_pages_of_its_written_blocks():
     # |g,g><g,g| (x) field at s = 0.65 writes one of 16 blocks; the other pages
-    # are never touched, so the process grows by much less than the output.
-    # tracemalloc counts the whole allocation, so the resident size is read
-    # in a fresh interpreter instead
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", KRON_FOOTPRINT], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    grown, nbytes, dim = map(int, proc.stdout.split())
+    # are never touched, so the process grows by much less than the output
+    grown, nbytes, dim = run_fresh(KRON_FOOTPRINT)
     assert dim == 4 * 441
-    # about 13 MB for the one block's rows; np.kron's dense write adds about 47.5 MB
+    # about 5 MB for the one block's pages (13 MB from np.zeros); np.kron's dense write adds about 47.5 MB
     assert grown < nbytes / 2
+
+
+def _owner(a):
+    """The object at the end of an array's chain of bases."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.base if isinstance(a, np.ndarray) else a.obj
+    return a
+
+
+@pytest.mark.parametrize("shape", [(1,), (2116, 2116)])
+def test_zeros_are_ordinary_complex_zeros_in_a_private_mapping(shape):
+    z = _zeros(shape)
+    assert z.shape == shape and z.dtype == np.complex128
+    assert z.flags.c_contiguous and z.flags.writeable
+    assert isinstance(_owner(z), mmap.mmap)
+    assert not z.view(np.uint64).any()  # +0.0 throughout
+    z.flat[-1] = 1 - 2j
+    for copied in [pickle.loads(pickle.dumps(z, protocol=p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)] + [
+        copy.deepcopy(z)
+    ]:
+        assert type(copied) is np.ndarray and not isinstance(_owner(copied), mmap.mmap)
+        assert copied.dtype == z.dtype and np.array_equal(copied, z)
 
 
 # ------------------------------------------------------------- partial trace
