@@ -20,7 +20,6 @@ from .tensorops import (
     DensityOperator,
     kron,
     partial_trace,
-    mat_exp,
 )
 from .fieldprep import (
     SqueezeParam,
@@ -69,7 +68,6 @@ __all__ = [
     "DensityOperator",
     "kron",
     "partial_trace",
-    "mat_exp",
     "SqueezeParam",
     "CouplingParam",
     "TruncationPolicy",

@@ -154,6 +154,8 @@ def _output(config: SweepConfig):
 def _dispatch(args: argparse.Namespace) -> int:
     config = _resolve_config(_COMMANDS[args.command][1](args), args)
     if args.command == "verify":
+        if config.engine != "both":  # verify walks both engines, whatever the setting says
+            raise ConfigError(f"verify runs both engines: --engine must be 'both', got {config.engine!r}")
         with _output(config) as fh:
             ok = verify(config, fh)
         if not ok:

@@ -5,11 +5,11 @@ States are plain numpy arrays wrapped together with their factor structure
 requested by factor index instead of by hand-rolled stride arithmetic.
 Every operation is a pure function of its inputs; nothing here mutates its
 arguments, and results are bit-reproducible for a fixed summation order.
-The one matrix exponential, :func:`mat_exp`, takes Hermitian generators
-only, and exponentiates them sector by sector.  The positivity check of
-:meth:`DensityOperator.validate` splits a state into the connected
-components of its nonzero pattern the same way, and solves all components
-of one size in one stacked eigensolve.
+The positivity check of :meth:`DensityOperator.validate` splits a state
+into the connected components of its nonzero pattern, and solves all
+components of one size in one stacked eigensolve; the dense transit
+oracle, :func:`~cvqubits.jcdynamics.jc_unitary_oracle`, exponentiates its
+generator through the same grouping, :func:`_components_by_size`.
 
 The two composite-sized outputs, :func:`kron`'s here and
 :func:`~cvqubits.jcdynamics.evolve`'s, come from :func:`_zeros`: a private
@@ -32,7 +32,6 @@ __all__ = [
     "DensityOperator",
     "kron",
     "partial_trace",
-    "mat_exp",
 ]
 
 # Hermiticity tolerance for freshly constructed operators.
@@ -172,15 +171,8 @@ def _violations(stack, tail_weight, herm_tol, psd_floor, trace_tol) -> list[str 
     if passed.any():
         sub = stack if passed.all() else stack[passed]  # no second copy of a lone large operator
         label = _component_labels(*np.divmod(nonzero[herm[passed].any(axis=0)], dim), dim)
-        width = np.bincount(label)[label]  # the size of each index's component
-        # by size, then by component, each component's indices ascending
-        order = np.argsort(width * dim + label, kind="stable")
-        count = np.bincount(width)  # indices in components of each size
         low = np.full(len(sub), np.inf)
-        start = 0
-        for k in np.flatnonzero(count).tolist():
-            idx = order[start : start + count[k]].reshape(-1, k)
-            start += count[k]
+        for idx in _components_by_size(label):
             blocks = sub[:, idx[:, :, None], idx[:, None, :]]  # (matrices, components, k, k)
             w = np.linalg.eigvalsh((blocks.conj().swapaxes(-1, -2) + blocks) * 0.5)[..., 0]
             np.minimum(low, w.min(axis=1), out=low)
@@ -293,39 +285,13 @@ def _component_labels(u: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
         label = low
 
 
-def _sectors(m: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of m's exact nonzero pattern.
+def _components_by_size(label: np.ndarray) -> list[np.ndarray]:
+    """One (components, k) index array per component size k of ``label``, sizes ascending.
 
-    The sets come sorted, and ordered by their smallest index.
+    Components of one size follow their labels; each component's indices ascend.
     """
-    label = _component_labels(*np.nonzero(m), len(m))
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-
-
-def mat_exp(h, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * h) for a nonempty, finite, Hermitian square matrix h.
-
-    Spectral: each connected component of h's exact nonzero pattern is
-    diagonalised on its own, so a generator that conserves photon or
-    excitation number costs one small eigensolve per sector, and an
-    imaginary ``scale`` keeps the result exactly unitary.  An anti-Hermitian
-    generator g goes in as h = i g with ``scale`` divided by i.  Raises
-    ValueError for an h that deviates from Hermiticity by more than 1e-13
-    of its largest entry (or of 1).
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {h.shape}")
-    if not (np.all(np.isfinite(h)) and np.isfinite(scale)):
-        raise ValueError("generator and scale must be finite")
-    adj = h.conj().T
-    dev = float(np.max(np.abs(h - adj)))
-    if dev > 1e-13 * max(float(np.max(np.abs(h))), 1.0):
-        raise ValueError(f"generator is not Hermitian: max deviation {dev:.3e}")
-    h = (h + adj) / 2.0
-    out = np.zeros_like(h)
-    for b in _sectors(h):
-        w, v = np.linalg.eigh(h[np.ix_(b, b)])
-        out[np.ix_(b, b)] = (v * np.exp(scale * w)) @ v.conj().T
-    return out
+    width = np.bincount(label)[label]  # the size of each index's component
+    # by size, then by component, each component's indices ascending
+    order = np.argsort(width * len(label) + label, kind="stable")
+    # the sizes present from bincount: np.unique's first call imports numpy.ma (about 1.7 MB)
+    return [order[width[order] == k].reshape(-1, k) for k in np.flatnonzero(np.bincount(width)).tolist()]

@@ -591,6 +591,27 @@ def test_cli_verify_clean_grid(capsys):
     assert out.count("\n") == 4 + 1  # one line per point plus the summary
 
 
+@pytest.mark.parametrize("engine, code", [("analytic", 1), ("oracle", 1), ("both", 0)])
+def test_cli_verify_takes_only_engine_both(engine, code, capsys):
+    # verify always walks both engines: a single engine is refused, not silently widened
+    assert main(["verify", *SMALL, "--initial", "gg", "--engine", engine]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert "verification PASS" in captured.out
+    else:
+        assert captured.out == ""
+        assert "--engine" in captured.err and repr(engine) in captured.err
+
+
+def test_cli_verify_refuses_an_engine_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("engine = oracle\n")
+    assert main(["verify", *SMALL, "--initial", "gg", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--engine" in captured.err and "'oracle'" in captured.err
+
+
 def test_cli_verify_catches_corrupted_engine(capsys, monkeypatch):
     # corrupt the closed-form corner coherence the walk reads
     real = sweep_mod.xstate_series

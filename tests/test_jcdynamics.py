@@ -146,6 +146,14 @@ def test_jc_unitary_matches_exponential(lt, dim):
     assert np.max(np.abs(got - ref)) < 1e-11
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0, 7.5, 20.0])
+def test_jc_unitary_oracle_is_unitary_for_long_times(t):
+    # every block, the top excited level's zero block among them, is
+    # exponentiated whole, so the oracle stays unitary on every column
+    u = jc_unitary_oracle(t, 3)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-11)
+
+
 @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
 def test_series_reject_bad_times(bad):
     lts = [0.0, 1.0, bad, 2.0]

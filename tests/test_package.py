@@ -26,7 +26,7 @@ def test_every_exported_name_resolves(name):
 
 
 PUBLIC = {
-    "TruncatedFockSpace", "StateVector", "DensityOperator", "kron", "partial_trace", "mat_exp",
+    "TruncatedFockSpace", "StateVector", "DensityOperator", "kron", "partial_trace",
     "SqueezeParam", "CouplingParam", "TruncationPolicy", "CavityFieldState", "squeezed_state",
     "binom_row", "inject", "inject_oracle",
     "AtomState", "EvolvedState", "jc_unitary", "jc_unitary_oracle", "evolve", "reduce_atoms",
@@ -36,7 +36,7 @@ PUBLIC = {
     "ConfigError", "VerificationError", "SweepConfig", "SweepRow", "run_sweep", "verify",
     "preset_config", "write_csv",
 }
-REMOVED = ("xstate_gg", "xstate_ee", "partial_transpose", "eig_hermitian")
+REMOVED = ("xstate_gg", "xstate_ee", "partial_transpose", "eig_hermitian", "mat_exp", "_sectors")
 
 
 def test_public_surface_is_pinned():
@@ -85,20 +85,25 @@ def test_fresh_import_loads_no_scipy_and_keeps_the_callers_blas_threads(given, e
         assert threads == "1"
 
 
-def test_benchmark_runs_traced_against_the_package(tmp_path):
-    # the benchmark's tracer wraps package names from outside: a traced
-    # fig3 pass must still run, and report its layers
+@pytest.mark.parametrize("workload", ["fig3", "referee"])
+def test_benchmark_runs_traced_against_the_package(workload, tmp_path):
+    # the benchmark's tracer wraps package names from outside, and skips a
+    # name the package no longer has: a traced pass must still run, and
+    # report its layers.  Only the referee reaches the transit exponential
     repo = Path(__file__).resolve().parents[1]
     result = tmp_path / "r.json"
     proc = subprocess.run(
-        [sys.executable, str(repo / "bench" / "child.py"), str(repo), "pass", "fig3", "1",
-         str(result), str(tmp_path / "fig3.out")],
+        [sys.executable, str(repo / "bench" / "child.py"), str(repo), "pass", workload, "1",
+         str(result), str(tmp_path / f"{workload}.out")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     layers = json.loads(result.read_text(encoding="utf-8"))["layers"]
     assert isinstance(layers, dict)
-    assert layers["sweep.points"] > 0 and layers["analytic.weight_table_builds"] > 0
+    if workload == "fig3":
+        assert layers["sweep.points"] > 0 and layers["analytic.weight_table_builds"] > 0
+    else:
+        assert layers["jcdynamics.evolve_calls"] > 0 and layers["tensorops.eigh_calls"] > 0
 
 
 def test_benchmark_referee_passes_against_the_package(tmp_path, monkeypatch):

@@ -18,10 +18,10 @@ from cvqubits.tensorops import (
     StateVector,
     TruncatedFockSpace,
     kron,
-    mat_exp,
     partial_trace,
 )
-from cvqubits.tensorops import HERM_TOL_BUILT, PSD_FLOOR, _sectors, _transpose_factor, _violations, _zeros
+from cvqubits.tensorops import HERM_TOL_BUILT, PSD_FLOOR, _transpose_factor, _violations, _zeros
+from cvqubits.tensorops import _component_labels, _components_by_size
 
 RNG = np.random.default_rng(20260815)
 
@@ -353,81 +353,6 @@ def test_partial_transpose_factor_range():
         _transpose_factor(random_density(4), (2, 2), 2)
 
 
-# --------------------------------------------------------------- mat_exp
-
-
-def taylor_exp(m, scale, terms=60):
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, terms):
-        term = term @ (scale * m) / k
-        out = out + term
-    return out
-
-
-def test_mat_exp_matches_taylor_hermitian():
-    h = random_hermitian(5)
-    np.testing.assert_allclose(mat_exp(h, scale=-1j * 0.7), taylor_exp(h, -1j * 0.7), atol=1e-12)
-
-
-def test_mat_exp_matches_taylor_antihermitian():
-    h = random_hermitian(5)
-    g = -1j * h  # anti-Hermitian generator, passed as the Hermitian i g
-    np.testing.assert_allclose(mat_exp(1j * g, scale=1.3 / 1j), taylor_exp(g, 1.3), atol=1e-12)
-
-
-def test_mat_exp_matches_taylor_generic():
-    # a generator that is neither Hermitian nor anti-Hermitian is refused
-    a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-    a /= 4.0
-    with pytest.raises(ValueError, match="not Hermitian: max deviation"):
-        mat_exp(a)
-    g = -1j * random_hermitian(4)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        mat_exp(g)
-
-
-def test_mat_exp_beam_splitter_rotation():
-    # exchange generator on two modes truncated at one photon each:
-    # |10> rotates into |01> with angle theta/2
-    g = np.zeros((4, 4))
-    g[1, 2], g[2, 1] = 1.0, -1.0  # a b+ - a+ b on the single-excitation pair
-    theta = np.pi / 2
-    b = mat_exp(1j * g, scale=-0.5j * theta)
-    vec = b @ np.array([0.0, 1.0, 0.0, 0.0])
-    np.testing.assert_allclose(vec, [0.0, np.cos(theta / 2), -np.sin(theta / 2), 0.0], atol=1e-14)
-
-
-@pytest.mark.parametrize("t", [0.0, 1.0, 7.5, 20.0])
-def test_mat_exp_unitary_for_long_times(t):
-    h = random_hermitian(6)
-    u = mat_exp(h, scale=-1j * t)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-11)
-
-
-def test_mat_exp_does_not_depend_on_call_order():
-    # same generator, several scales: no result may depend on earlier calls
-    h = random_hermitian(5)
-    fresh = [taylor_exp(h, -1j * t) for t in (0.3, 1.1, 2.9)]
-    for t, ref in zip((0.3, 1.1, 2.9), fresh):
-        np.testing.assert_allclose(mat_exp(h, scale=-1j * t), ref, atol=1e-12)
-
-
-def test_mat_exp_rejects_non_finite_and_empty_input():
-    h = random_hermitian(3)
-    for bad in (np.nan, np.inf):
-        g = h.copy()
-        g[0, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            mat_exp(g)
-        with pytest.raises(ValueError, match="finite"):
-            mat_exp(h, scale=bad)
-    with pytest.raises(ValueError, match="finite"):
-        mat_exp(h, scale=complex(0.0, np.nan))
-    with pytest.raises(ValueError, match="nonempty"):
-        mat_exp(np.zeros((0, 0)))
-
-
 # ----------------------------------------------------------------- sectors
 
 
@@ -443,22 +368,33 @@ def permuted_blocks(blocks, rng=RNG):
     return m[np.ix_(perm, perm)]
 
 
-@pytest.mark.parametrize("anti", [False, True])
-def test_mat_exp_sector_route_matches_taylor(anti):
+def components(m):
+    """Index sets of the connected components of m's exact nonzero pattern, smallest index first."""
+    groups = _components_by_size(_component_labels(*np.nonzero(m), len(m)))
+    return sorted((c for idx in groups for c in idx), key=lambda c: c[0])
+
+
+def test_components_come_grouped_by_size_then_label():
+    # sizes ascend, components of one size follow their smallest index, and
+    # each component's indices ascend
     h = permuted_blocks([random_hermitian(d) for d in (1, 3, 2, 5, 1, 4)])
-    assert sorted(len(b) for b in _sectors(h)) == [1, 1, 2, 3, 4, 5]
-    g, scale = (-1j * h, 0.9) if anti else (h, -1j * 0.9)
-    h, h_scale = (1j * g, scale / 1j) if anti else (g, scale)  # the Hermitian generator and its scale
-    np.testing.assert_allclose(mat_exp(h, scale=h_scale), taylor_exp(g, scale), rtol=0, atol=1e-12)
+    label = _component_labels(*np.nonzero(h), len(h))
+    groups = _components_by_size(label)
+    assert [idx.shape for idx in groups] == [(2, 1), (1, 2), (1, 3), (1, 4), (1, 5)]
+    for idx in groups:
+        assert np.all(np.diff(idx, axis=1) > 0)
+        assert np.all(np.diff(label[idx[:, 0]]) > 0)
+        assert np.all(label[idx] == idx[:, :1])  # each component is labelled by its smallest index
+    assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx in groups])), np.arange(len(h)))
 
 
-def test_mat_exp_sector_pattern_is_exact():
+def test_component_pattern_is_exact():
     # a single 1e-200 link joins two blocks: no threshold may split them
     h = permuted_blocks([random_hermitian(3), random_hermitian(4)], rng=np.random.default_rng(5))
+    assert len(components(h)) == 2
     i, j = np.flatnonzero(h[0] != 0)[0], np.flatnonzero(h[0] == 0)[0]
     h[i, j] = h[j, i] = 1e-200
-    assert len(_sectors(h)) == 1
-    np.testing.assert_allclose(mat_exp(h, scale=-1j * 1.7), taylor_exp(h, -1j * 1.7), rtol=0, atol=1e-12)
+    assert len(components(h)) == 1
 
 
 def test_sectors_are_the_connected_components_of_one_sided_chains():
@@ -470,14 +406,14 @@ def test_sectors_are_the_connected_components_of_one_sided_chains():
     for chain in chains:
         m[chain[:-1], chain[1:]] = 1.0
     want = sorted((np.sort(c) for c in chains), key=lambda c: c[0])
-    got = _sectors(m)
+    got = components(m)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
 
 def test_dense_hermitian_is_one_sector():
-    blocks = _sectors(random_hermitian(7))
+    blocks = components(random_hermitian(7))
     assert len(blocks) == 1
     np.testing.assert_array_equal(blocks[0], np.arange(7))
 
@@ -489,7 +425,7 @@ def test_validate_finds_negative_eigenvalue_in_one_block():
     parts = [0.5 * random_density(4, rng), 0.5 * (q @ bad @ q.conj().T), 0.0 * random_density(2, rng)]
     m = permuted_blocks(parts, rng)
     m = (m + m.conj().T) / 2.0
-    assert len(_sectors(m)) >= 2
+    assert len(components(m)) >= 2
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityOperator(TruncatedFockSpace((m.shape[0],)), m).validate()
 
