@@ -30,6 +30,9 @@ __all__ = [
     "negativity_closed_form",
 ]
 
+# the basis-state preparations the closed forms cover
+INITIALS = ("gg", "ee")
+
 
 @dataclass(frozen=True)
 class AtomXState:
@@ -116,8 +119,8 @@ def xstate_series(s, r, lambda_ts, n_max: int, initial: str, ladder=None) -> Ato
     one_time = np.ndim(lambda_ts) == 0
     lts = _times(np.atleast_1d(lambda_ts))
     n_max = _whole(n_max, "n_max", 1)
-    if initial not in ("gg", "ee"):
-        raise ValueError(f"initial must be 'gg' or 'ee', got {initial!r}")
+    if initial not in INITIALS:
+        raise ValueError(f"initial must be one of {INITIALS}, got {initial!r}")
     table = WeightTable(sq, cp, n_max, ladder)
     ladder = table.ladder
     levels = n_max + 1

@@ -27,6 +27,7 @@ from .sweep import (
     ConfigError,
     SweepConfig,
     VerificationError,
+    _named,
     default_verify_config,
     preset_config,
     run_sweep,
@@ -108,7 +109,7 @@ def build_parser() -> _Parser:
 def _read_config_file(path: str) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
     settings: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as err:
@@ -128,15 +129,15 @@ def _apply(config: SweepConfig, key: str, raw, source: str) -> SweepConfig:
     name = key.strip().lower().replace("-", "_")
     if name not in _SETTINGS:
         known = ", ".join(sorted(_SETTINGS))
-        raise ConfigError(f"{source}: unknown setting {key!r} (known: {known})")
+        raise ConfigError(f"{source}: unknown setting (known: {known})")
     field_name, parse = _SETTINGS[name][:2]
-    return replace(config, **{field_name: parse(raw)})
+    return replace(config, **{field_name: _named(source, parse, raw)})
 
 
 def _resolve_config(config: SweepConfig, args: argparse.Namespace) -> SweepConfig:
     if args.config is not None:
         for key, value in _read_config_file(args.config).items():
-            config = _apply(config, key, value, source=args.config)
+            config = _apply(config, key, value, source=f"{args.config}, key {key!r}")
     for key in _SETTINGS:
         value = getattr(args, key)
         if value is not None:

@@ -18,6 +18,8 @@ __all__ = ["EntanglementReport", "negativity_general"]
 
 # below this the smallest eigenvalue is eigensolver noise, not physics
 NEGATIVITY_TOL = 1e-10
+# largest element-wise deviation from Hermiticity a state may carry into the spectrum
+_HERM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ def negativity_general(rho) -> EntanglementReport:
     pt = _transpose_factor(m, (2, 2), 1)
     adj = pt.conj().swapaxes(-1, -2)
     dev = float(np.max(np.abs(pt - adj), initial=0.0))
-    if not dev <= 1e-10:  # a NaN entry fails here too
+    if not dev <= _HERM_TOL:  # a NaN entry fails here too
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     spectrum = np.linalg.eigvalsh((pt + adj) / 2.0)
     negative = np.where(spectrum < 0.0, spectrum, 0.0).sum(axis=-1)

@@ -134,7 +134,7 @@ class TruncationPolicy:
             object.__setattr__(self, "n_max", _whole(self.n_max, "n_max", 1))
         else:
             if self.tail_tol is None or not (0.0 < float(self.tail_tol) < math.inf):
-                raise ValueError(f"tail_tol must be finite and > 0 when n_max is not set, got {self.tail_tol}")
+                raise ValueError(f"tail_tol must be finite and > 0, got {self.tail_tol}")
             object.__setattr__(self, "tail_tol", float(self.tail_tol))
 
     def resolve(self, s) -> tuple[int, float]:

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytic import negativity_closed_form, xstate_series
-from .entanglement import negativity_general
-from .fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, _whole, binom_ladder, inject, squeezed_state
+from .analytic import INITIALS, negativity_closed_form, xstate_series
+from .entanglement import _HERM_TOL, negativity_general
+from .fieldprep import (
+    CouplingParam, SqueezeParam, TruncationPolicy, _times, _whole, binom_ladder, inject, squeezed_state,
+)
 from .jcdynamics import EVOLVE_PAD, SERIES_CHUNK, AtomState, reduce_atoms_series
 from .tensorops import PSD_FLOOR, _violations
 
@@ -41,7 +43,6 @@ __all__ = [
 ]
 
 ENGINES = ("analytic", "oracle", "both")
-INITIALS = ("gg", "ee")
 CSV_HEADER = "s,r,lambda_t,initial,measure,n_max,tail_weight,engine,disagreement"
 DISAGREE_TOL = 1e-8
 # Largest peak memory a configuration may plan for; validate() rejects
@@ -70,7 +71,7 @@ class SweepConfig:
     lt_steps: int = 1
     initials: tuple[str, ...] = ("gg",)
     engine: str = "analytic"
-    tail_tol: float = 1e-10
+    tail_tol: float = TruncationPolicy.tail_tol
     n_max: int | None = None
     out: str | None = None
 
@@ -78,41 +79,33 @@ class SweepConfig:
         if not self.s_values:
             raise ConfigError("no squeezing values given (use --s)")
         for s in self.s_values:
-            if not (math.isfinite(s) and s >= 0.0):
-                raise ConfigError(f"squeezing value must be finite and >= 0, got {s}")
-            try:
-                SqueezeParam(s)
-            except ValueError:
-                raise ConfigError(f"cosh(s)**2 overflows at squeezing value {s}; lower --s") from None
+            _named("--s", SqueezeParam, s)
         if not self.r_values:
             raise ConfigError("no reflection values given (use --r)")
         for r in self.r_values:
-            if not 0.0 <= r <= 1.0:
-                raise ConfigError(f"reflection coefficient must lie in [0, 1], got {r}")
-        for flag, value in (("lt-start", self.lt_start), ("lt-stop", self.lt_stop)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{flag} must be finite, got {value}")
-        _whole(self.lt_steps, "lt-steps", 1, ConfigError)
+            _named("--r", CouplingParam, r)
+        _named("--lt-start", _times, [self.lt_start])
+        _named("--lt-stop", _times, [self.lt_stop])
+        _whole(self.lt_steps, "--lt-steps", 1, ConfigError)
         if self.lt_stop < self.lt_start:
-            raise ConfigError(f"lt-stop {self.lt_stop} is below lt-start {self.lt_start}")
-        if self.lt_start < 0.0:
-            raise ConfigError(f"lt-start must be >= 0, got {self.lt_start}")
+            raise ConfigError(f"--lt-stop {self.lt_stop} is below --lt-start {self.lt_start}")
+        if self.lt_steps == 1 and self.lt_stop != self.lt_start:
+            raise ConfigError(
+                f"--lt-steps 1 samples only --lt-start {self.lt_start}, so --lt-stop {self.lt_stop} "
+                f"would be dropped; take more --lt-steps or set --lt-stop to --lt-start"
+            )
         if not self.initials:
             raise ConfigError("no initial atom states given (use --initial)")
         for ini in self.initials:
             if ini not in INITIALS:
-                raise ConfigError(f"initial state must be one of {INITIALS}, got {ini!r}")
+                raise ConfigError(f"initial state must be one of {INITIALS}, got {ini!r} (--initial)")
         if self.engine not in ENGINES:
-            raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
-            raise ConfigError(f"tail-tol must be finite and > 0, got {self.tail_tol}")
+            raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r} (--engine)")
+        _named("--tail-tol", TruncationPolicy, self.tail_tol)
         if self.n_max is not None:
-            _whole(self.n_max, "n-max", 1, ConfigError)
+            _whole(self.n_max, "--n-max", 1, ConfigError)
         policy = self.policy()
-        try:
-            n_top = max(policy.resolve(s)[0] for s in self.s_values)
-        except ValueError as err:
-            raise ConfigError(f"{err} (--n-max)") from None
+        n_top = max(_named("--n-max", policy.resolve, s)[0] for s in self.s_values)
         # the largest Rabi angle, lambda_t sqrt(n) at the dense transit's top padded level
         if not math.isfinite(self.lt_stop * math.sqrt(n_top + 1 + EVOLVE_PAD)):
             raise ConfigError(
@@ -135,6 +128,14 @@ class SweepConfig:
 
     def lt_values(self) -> np.ndarray:
         return np.linspace(self.lt_start, self.lt_stop, int(self.lt_steps))
+
+
+def _named(knob: str, check, *args):
+    """``check(*args)``, whose ValueError becomes a ConfigError naming ``knob``: a flag, or a file and key."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        raise ConfigError(f"{err} ({knob})") from None
 
 
 def _peak_bytes(n_max: int, lt_steps: int, engine: str, r_count: int = 1) -> int:
@@ -246,7 +247,7 @@ def _walk(config: SweepConfig):
                 if use_oracle:
                     dense = reduce_atoms_series(AtomState(initial), field, lts)
                     # a state that is not Hermitian has no spectrum to measure; verify says why
-                    hermitian = np.abs(dense - dense.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= 1e-10
+                    hermitian = np.abs(dense - dense.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= _HERM_TOL
                     measure = np.full(len(lts), np.nan)
                     measure[hermitian] = negativity_general(dense[hermitian]).measure
                 if use_analytic:
@@ -318,12 +319,11 @@ def verify(config: SweepConfig, stream=None) -> bool:
         # what an X state leaves at zero: five entries above the diagonal, the corner's imaginary part
         leaks = np.column_stack((np.abs(dense[:, [0, 0, 1, 1, 2], [1, 2, 2, 3, 3]]),
                                  np.abs(dense[:, 0, 3].imag)))
-        invalid = _violations(dense, rows[0].tail_weight, herm_tol=1e-10, psd_floor=PSD_FLOOR,
+        worst = np.maximum(worst, worst_disagreement(rows))  # a NaN sticks
+        invalid = _violations(dense, rows[0].tail_weight, herm_tol=_HERM_TOL, psd_floor=PSD_FLOOR,
                               trace_tol=1e-10)
         for row, off_x, violation in zip(rows, leaks.max(axis=1).tolist(), invalid):
             disagreement = row.disagreement
-            worst = np.maximum(worst, disagreement)  # a NaN sticks
-
             problems = []
             if not disagreement < DISAGREE_TOL:
                 problems.append(f"engines disagree by {disagreement:.3e}")

@@ -14,7 +14,7 @@ import cvqubits.analytic as analytic_mod
 import cvqubits.fieldprep as fieldprep_mod
 import cvqubits.sweep as sweep_mod
 from cvqubits.analytic import negativity_closed_form, xstate_series
-from cvqubits.cli import main
+from cvqubits.cli import _SETTINGS, main
 from cvqubits.entanglement import negativity_general
 from cvqubits.fieldprep import CouplingParam, SqueezeParam, TruncationPolicy, binom_ladder, inject, squeezed_state
 from cvqubits.jcdynamics import SERIES_CHUNK, AtomState, reduce_atoms_direct, reduce_atoms_series
@@ -332,7 +332,8 @@ def test_row_bytes_cover_the_rows_run_sweep_holds(engine):
     # 10 000 rows at a small cutoff, so the rows outweigh the series' arrays
     config = SweepConfig(s_values=[0.3], r_values=[0.0, 0.7], lt_stop=15.0, lt_steps=2500,
                          initials=("gg", "ee"), engine=engine, n_max=6)
-    run_sweep(replace(config, lt_steps=1))  # first-call allocations stay out of the count
+    # first-call allocations stay out of the count
+    run_sweep(replace(config, lt_steps=1, lt_stop=config.lt_start))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -475,7 +476,71 @@ def test_cli_rejects_non_finite_inputs(flags, knob, capsys):
     assert main(["sweep", "--s", "0.5", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{knob} must be finite" in captured.err
+    assert f"--{knob}" in captured.err and "must be finite" in captured.err
+
+
+# (setting, bad value, whether it parses): every setting but out, a path
+# whose failure is an I/O error (exit 2), with an unparsable value where one
+# exists and an out-of-range one
+REFUSED = [
+    ("s", "abc", False), ("s", "-1", True), ("s", "400", True),
+    ("r", "x", False), ("r", "1.5", True),
+    ("lt_start", "x", False), ("lt_start", "-1", True),
+    ("lt_stop", "x", False), ("lt_stop", "inf", True),
+    ("lt_steps", "x", False), ("lt_steps", "0", True),
+    ("initial", "qq", True), ("initial", ",", True),
+    ("engine", "magic", True),
+    ("tail_tol", "x", False), ("tail_tol", "0", True),
+    ("n_max", "2.5", False), ("n_max", "0", True),
+]
+
+
+def test_refusal_matrix_covers_every_setting():
+    assert {key for key, _, _ in REFUSED} == set(_SETTINGS) - {"out"}
+
+
+@pytest.mark.parametrize("key,value,parses", REFUSED)
+def test_cli_refusal_names_its_flag(key, value, parses, capsys):
+    flag = "--" + key.replace("_", "-")
+    base = [] if key == "s" else ["--s", "0.3"]
+    assert main(["sweep", *base, f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cvqubits: error:") and flag in captured.err
+
+
+@pytest.mark.parametrize("key,value,parses", REFUSED)
+def test_config_file_refusal_names_its_key(key, value, parses, tmp_path, capsys):
+    # a value that does not parse names the file and key; one out of range, the flag
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    base = [] if key == "s" else ["--s", "0.3"]
+    assert main(["sweep", "--config", str(cfg), *base]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cvqubits: error:")
+    named = "--" + key.replace("_", "-") if parses else f"({cfg}, key '{key}')"
+    assert named in captured.err
+
+
+def test_one_time_step_refuses_a_distinct_lt_stop(capsys):
+    # one step used to write one row at lt-start and drop lt-stop, exiting 0
+    assert main(["sweep", "--s", "0.3", "--lt-stop", "15"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--lt-steps" in captured.err and "--lt-stop" in captured.err
+    with pytest.raises(ConfigError, match="--lt-steps 1"):
+        replace(preset_config("fig2"), lt_stop=12.0).validate()
+    assert main(["sweep", "--s", "0.3", "--lt-start", "15", "--lt-stop", "15"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[2] == "15"
+
+
+def test_cli_reads_a_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    # editors that save "UTF-8 with BOM" used to make the first key unknown
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes("s = 0.3\nlt_stop = 2\nlt_steps = 2\n".encode("utf-8-sig"))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[1].startswith("0.3,0,0,gg,")
 
 
 def test_cli_strong_squeezing_needs_an_explicit_cutoff(capsys):
