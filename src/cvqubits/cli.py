@@ -106,9 +106,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _setting(key: str) -> str:
+    """The ``_SETTINGS`` name a flag or config-file key spells: ``LT-Stop`` is ``lt_stop``."""
+    return key.strip().lower().replace("-", "_")
+
+
 def _read_config_file(path: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
+    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped.
+
+    A setting given twice, under one spelling or two (``lt-stop`` and
+    ``lt_stop``), is a ConfigError naming both lines.
+    """
     settings: dict[str, str] = {}
+    lines_of: dict[str, int] = {}
     with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
@@ -120,13 +130,20 @@ def _read_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        settings[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = _setting(key)
+        if name in lines_of:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} repeats the setting on line {lines_of[name]}; "
+                f"give each setting once"
+            )
+        lines_of[name] = lineno
+        settings[key] = value
     return settings
 
 
 def _apply(config: SweepConfig, key: str, raw, source: str) -> SweepConfig:
-    name = key.strip().lower().replace("-", "_")
+    name = _setting(key)
     if name not in _SETTINGS:
         known = ", ".join(sorted(_SETTINGS))
         raise ConfigError(f"{source}: unknown setting (known: {known})")

@@ -4,11 +4,11 @@ The two halves of an external two-mode squeezed vacuum each pass through a
 beam splitter into one cavity; the reflected output ports are traced away,
 leaving the (generally mixed) joint cavity field.  :func:`inject` builds
 that field directly from its photon-number expansion, while
-:func:`inject_oracle` exponentiates the beam-splitter generator on the
-photon-number blocks the input reaches and traces the reflected ports out
-block by block -- the two must agree element-wise, which is this module's
-core self-check.  Both return the field as its disjoint diagonal blocks
-(:class:`CavityFieldState`), never as a dense (n_max + 1)^2-square matrix.
+:func:`inject_oracle` exponentiates the beam-splitter generator, one real
+tridiagonal ``eigh`` per photon-number total, and traces the reflected
+ports out block by block -- the two must agree element-wise, which is this
+module's core self-check.  Both return the field as its disjoint diagonal
+blocks (:class:`CavityFieldState`), never as a dense (n_max + 1)^2-square matrix.
 """
 
 from __future__ import annotations
@@ -483,27 +483,25 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None, ladder=None) -> C
 def _splitter_columns(coupling: CouplingParam, dim: int) -> np.ndarray:
     """reach[n, e] = <e, n - e| U |n, 0> for n < dim: the splitter's column of input level n.
 
-    Each (external, cavity) mode pair passes U = exp[(theta/2)(c f+ - c+ f)].
-    The ladder operator only lowers by one, so the generator keeps each
-    pair's total n = e + c, and the pair states with total n form one
-    invariant block.  The generator is built there one total at a time,
-    from the same entries of ``a`` that kron(a.T, a) - kron(a, a.T) holds;
-    as the Hermitian i G it is one connected tridiagonal block, so one
-    ``eigh`` per total gives the exponential at scale -i theta/2, of which
-    only the |n, 0> column is formed.  Entries with e > n are 0.
+    Each (external, cavity) mode pair passes U = exp[(theta/2) G], with
+    G = c f+ - c+ f, which keeps each pair's total n = e + c.  On the pair
+    states |k, n - k> of one total, G is real and tridiagonal, G[k + 1, k]
+    = -G[k, k + 1] = sqrt((k + 1)(n - k)), and diag(i^k) turns i G into
+    the real symmetric T with that off-diagonal.  One real ``eigh`` of T
+    per total gives the |n, 0> column, reach[n, e] = i^(e - n) [V exp(-i
+    (theta/2) w) V^T][e, n], its phases exact from a table; row n does not
+    depend on ``dim``.
     """
     if coupling.theta == 0.0:  # exp(0) = I, exactly
         return np.eye(dim)
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    phases = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^m for m mod 4
     scale = -0.5j * coupling.theta
-    reach = np.zeros((dim, dim))
+    reach = np.zeros((dim, dim))  # e > n stays 0
     for n in range(dim):
-        i = np.arange(n + 1)[:, None]  # row |i, n - i>, column |j, n - j>
-        j = i.T
-        # kron(a.T, a) - kron(a, a.T) between those pair states
-        block = a[j, i] * a[n - i, n - j] - a[i, j] * a[n - j, n - i]
-        w, v = np.linalg.eigh(1j * block)
-        reach[n, : n + 1] = ((v * np.exp(scale * w)) @ v[n].conj()).real
+        k = np.arange(n + 1)
+        off = np.sqrt((k[:n] + 1.0) * (n - k[:n]))  # T[k + 1, k] = T[k, k + 1]
+        w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        reach[n, : n + 1] = (phases[(k - n) % 4] * ((v * np.exp(scale * w)) @ v[n])).real
     return reach
 
 
@@ -513,7 +511,7 @@ def inject_oracle(psi: StateVector, coupling, *, s=None, policy=None) -> CavityF
     Each (external, cavity) mode pair passes exp[(theta/2)(c f+ - c+ f)],
     which keeps each pair's total n = e + c, so input level n meets only
     the |n, 0> column of the total-n block (:func:`_splitter_columns`,
-    one ``eigh`` of the generator per total).  The
+    one real ``eigh`` of the block's tridiagonal couplings per total).  The
     (externals x cavities) amplitude matrix is formed from those columns as
     a list of its nonzero entries.  Columns linked through shared nonzero
     rows form one block, and the externals are traced out with one Gram

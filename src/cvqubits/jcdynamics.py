@@ -130,18 +130,18 @@ def jc_unitary(lt: float, field_dim: int) -> np.ndarray:
 
 
 def jc_unitary_oracle(lt: float, field_dim: int) -> np.ndarray:
-    """Same unitary as (v exp(-i lt w)) v^dagger, one stacked ``eigh`` per size of the generator's blocks."""
+    """Same unitary as (v exp(-i lt w)) v^T, one stacked real ``eigh`` per size of the generator's blocks."""
     lt = float(_times([lt])[0])
     dim = _whole(field_dim, "field_dim", 2)
     lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    h = np.zeros((2 * dim, 2 * dim))
     h[:dim, dim:] = lower
     h[dim:, :dim] = lower.T
-    u = np.zeros_like(h)
+    u = np.zeros_like(h, dtype=complex)
     for idx in _components_by_size(_component_labels(*np.nonzero(h), 2 * dim)):
         rows, cols = idx[:, :, None], idx[:, None, :]
         w, v = np.linalg.eigh(h[rows, cols])
-        u[rows, cols] = (v * np.exp(-1j * lt * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        u[rows, cols] = (v * np.exp(-1j * lt * w)[:, None, :]) @ v.swapaxes(-1, -2)
     return u
 
 

@@ -141,34 +141,36 @@ def _named(knob: str, check, *args):
 def _peak_bytes(n_max: int, lt_steps: int, engine: str, r_count: int = 1) -> int:
     """Peak bytes of a walk at top cutoff n_max over r_count distinct r, from the array shapes.
 
-    The analytic engine holds one (n+2)-square splitting ladder per r for
-    the whole walk, 8 (n+2)^2 B each, and one ladder-sized product of a
-    series next to them: 16 (n+2)^2 B for one r (tracemalloc over ten
-    values of r at n_max 314 and one time: 8.93 MB, against 9.07 MB
-    estimated).  A series takes 72 B per (rung, time) in its
+    The walk holds one (n+2)-square splitting ladder per r for its whole
+    length, whichever the engine, 8 (n+2)^2 B each.  The analytic engine
+    holds one ladder-sized product of a series next to them (tracemalloc
+    over ten values of r at n_max 314 and one time: 8.93 MB, against 9.07
+    MB estimated).  A series takes 72 B per (rung, time) in its
     trig tables, level sums and their temporaries; 64 B per time for the
     returned arrays (tracemalloc: 56 B at n_max 1); and up to 256 KiB of
     numpy buffers (tracemalloc: 1.74 MB at n_max 314 with one time, 9.5 MB
     at n_max 63 with 2000).
     The oracle holds the injected field as its real nA - nB sector blocks,
     8 ((n+1)^2 + n(n+1)(2n+1)/3) B in one buffer (0.42 MB at n_max 42).
-    The blocks' indices, the field's gather tables, inject's ladder (none
-    under "both") and the nonzero field slices, kept with the field, sit by
-    it: tracemalloc put them at 124 B per (n+1)^2 at n_max 106 and 119 B at
-    n_max 200 (one time, superposition), and 192 B leaves half as much
-    again.  The series walks the times SERIES_CHUNK at a time, holding the
-    transit's amplitudes and propagator diagonals of a chunk, under 1024 B
-    per (n+1) per time (tracemalloc, all four atom columns occupied: about
-    870 B at n_max 20 to 200).  It returns a 256 B state per time;
-    measuring it takes up to five more of its size, 1536 B per time in
-    all (tracemalloc over the walk: 1424 B per time at n_max 13).  Up to
-    64 KiB of small arrays and buffers come on top (a one-time series
-    takes 8.0 kB at n_max 4 for ee, 13.3 kB for a superposition).
+    The blocks' indices, the field's gather tables, inject's zero-padded
+    copy of the ladder and the nonzero field slices, kept with the field,
+    sit by it: tracemalloc put them at 124 B per (n+1)^2 at n_max 106 and
+    119 B at n_max 200 (one time, superposition, inject building its own
+    ladder), and 192 B leaves half as much again (the oracle's walk over ten
+    values of r at n_max 200, one time: 51.3 MB, against 54.6 MB estimated).
+    The series walks the times SERIES_CHUNK at a time, holding the transit's
+    amplitudes and propagator diagonals of a chunk, under 1024 B per (n+1)
+    per time (tracemalloc, all four atom columns occupied: about 870 B at
+    n_max 20 to 200).  It returns a 256 B state per time; measuring it takes
+    up to five more of its size, 1536 B per time in all (tracemalloc over
+    the walk: 1424 B per time at n_max 13).  Up to 64 KiB of small arrays
+    and buffers come on top (a one-time series takes 8.0 kB at n_max 4 for
+    ee, 13.3 kB for a superposition).
     """
-    need = 0
+    rungs = n_max + 2
+    need = 8 * rungs**2 * r_count
     if engine in ("analytic", "both"):
-        rungs = n_max + 2
-        need += 8 * rungs**2 * (r_count + 1) + (72 * rungs + 64) * lt_steps + 2**18
+        need += 8 * rungs**2 + (72 * rungs + 64) * lt_steps + 2**18
     if engine in ("oracle", "both"):
         chunk = min(lt_steps, SERIES_CHUNK)
         need += 8 * ((n_max + 1) ** 2 + n_max * (n_max + 1) * (2 * n_max + 1) // 3)
@@ -219,12 +221,11 @@ def _walk(config: SweepConfig):
     rows (None for the analytic engine alone).  The oracle injects one
     field when an (s, r) group starts and drops it when the group ends;
     the field keeps the slices its series gather, so the group's series
-    share them.  The analytic engine builds one splitting ladder per r
-    when a group first meets that r, at the walk's top cutoff, and keeps
-    it for the whole walk: the ladder does not depend on s, and every
-    series reads its top-left corner.  Under "both", inject reads that
-    corner too and builds no ladder of its own; with the oracle alone it
-    builds one per group.
+    share them.  The walk builds one splitting ladder per r when a group
+    first meets that r, at the walk's top cutoff, and keeps it for the
+    whole walk: the ladder does not depend on s, and every analytic series
+    and every inject reads its top-left corner, so inject builds no ladder
+    of its own under either engine.
     """
     config.validate()
     policy = config.policy()
@@ -238,9 +239,9 @@ def _walk(config: SweepConfig):
         n_max, tail = policy.resolve(sq)
         psi = squeezed_state(sq, policy) if use_oracle else None
         for r in config.r_values:
-            if use_analytic and r not in ladders:
+            if r not in ladders:
                 ladders[r] = binom_ladder(n_top + 1, CouplingParam(r))
-            ladder = ladders.get(r)
+            ladder = ladders[r]
             field = inject(psi, CouplingParam(r), ladder=ladder) if use_oracle else None
             for initial in config.initials:
                 gaps = dense = None

@@ -89,10 +89,10 @@ def test_shared_ladders_change_no_bit(config, monkeypatch):
     (preset_config("fig2"), 3),
     (SIGNED, 3),
     (default_verify_config(), 4),
-    (replace(default_verify_config(), engine="oracle"), 0),
+    (replace(default_verify_config(), engine="oracle"), 4),
 ], ids=["fig2", "signed", "verify", "oracle"])
 def test_walk_builds_one_ladder_per_distinct_r(config, built, monkeypatch):
-    # at the walk's top cutoff, whatever the s; the oracle engine alone builds none
+    # at the walk's top cutoff, whatever the s, and whichever the engine
     calls = []
 
     def counted(n_top, coupling):
@@ -108,10 +108,10 @@ def test_walk_builds_one_ladder_per_distinct_r(config, built, monkeypatch):
     assert len({r for _, r in calls}) == built
 
 
-@pytest.mark.parametrize("engine,built", [("both", 4), ("oracle", 12)])
+@pytest.mark.parametrize("engine,built", [("both", 4), ("oracle", 4)])
 def test_verify_grid_builds_one_ladder_per_r_for_both_engines(engine, built, monkeypatch):
-    # with the analytic engine on, inject reads the walk's ladder for its r
-    # and builds none of its own; the oracle alone builds one per (s, r)
+    # whichever the engine, inject reads the walk's ladder for its r and
+    # builds none of its own
     calls = []
 
     def counted(n_top, coupling):
@@ -303,6 +303,23 @@ def test_walk_memory_estimate_covers_one_ladder_per_r():
     assert peak <= estimate <= 2 * peak
 
 
+def test_oracle_walk_memory_estimate_covers_one_ladder_per_r():
+    # the oracle alone holds the walk's ladders too: ten of them at n_max 106
+    config = SweepConfig(s_values=[1.0], r_values=[round(0.1 * i, 10) for i in range(10)], n_max=106,
+                         lt_start=3.0, lt_stop=3.0, initials=("gg", "ee"), engine="oracle")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in sweep_mod._walk(config):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    estimate = sweep_mod._peak_bytes(106, config.lt_steps, "oracle", 10)
+    assert peak <= estimate <= 2 * peak
+    assert estimate - sweep_mod._peak_bytes(106, config.lt_steps, "oracle", 1) == 9 * 8 * 108**2
+
+
 def test_budget_counts_one_ladder_per_distinct_r():
     # one r: refused from --n-max 11 581; three: from 8 189, and -0.0 is 0.0
     three = [0.0, 0.25, 0.7]
@@ -438,6 +455,21 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg.write_text("squeeze = 0.3\n")
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "squeeze" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,key,lines", [
+    ("s = 0.3\nlt_steps = 2\n# a comment\ns = 0.5\n", "s", (1, 4)),
+    ("s = 0.3\nlt-stop = 2\nlt_steps = 2\nlt_stop = 3\n", "lt_stop", (2, 4)),
+], ids=["s-twice", "lt-stop-and-lt_stop"])
+def test_cli_refuses_a_config_key_given_twice(tmp_path, capsys, text, key, lines):
+    # a repeated setting used to keep its last value, or apply both spellings in turn
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cvqubits: error: {cfg}:{lines[1]}: key {key!r} ")
+    assert f"line {lines[0]}" in captured.err
 
 
 def test_cli_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

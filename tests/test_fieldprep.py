@@ -259,11 +259,15 @@ def test_inject_oracle_matches_full_product_reference(source, r):
 
 
 def reference_splitter_columns(coupling, dim):
-    """reach[n, e] = <e, n - e| U |n, 0> by one eigh of each whole, symmetrised total-n block.
+    """reach[n, e] = <e, n - e| U |n, 0> from the complex Hermitian i G of each total-n block.
 
-    Kept as the reference that the one-eigh-per-block splitter table is held against.
-    ``scipy.linalg.expm`` of the same blocks differs from the table by up to
-    1.45e-14 over the grid below, past its 1e-14 bound, so the reference keeps eigh.
+    A separate route from the package's: it gathers each block from the
+    dense ladder operator ``a``, as kron(a.T, a) - kron(a, a.T) holds it,
+    and solves the symmetrised complex i G with one complex ``eigh``,
+    where the package solves the real tridiagonal T with its phases
+    applied afterwards.  ``scipy.linalg.expm`` of the same blocks differs
+    from the table by up to 1.48e-14 over the grid below, past its 1e-14
+    bound, so the reference keeps eigh.
     """
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     reach = np.zeros((dim, dim))
@@ -286,6 +290,15 @@ def test_splitter_columns_match_the_exponential(dim, r):
     assert np.max(np.abs(got - reference_splitter_columns(CouplingParam(r), dim))) <= 1e-14
     assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) <= 1e-14
     assert not np.any(np.triu(got, 1))
+
+
+@pytest.mark.parametrize("r", [0.0, 0.25, 0.7, 0.99, 1.0])
+def test_splitter_columns_are_corners_of_a_larger_table(r):
+    # row n comes from the total-n block alone, so a smaller table is the
+    # top-left corner of a larger one, bit for bit
+    big = _splitter_columns(CouplingParam(r), 43)
+    for dim in (1, 2, 10, 29):
+        assert big[:dim, :dim].tobytes() == _splitter_columns(CouplingParam(r), dim).tobytes()
 
 
 def test_oracle_at_full_reflection_holds_only_the_vacuum_entry():
