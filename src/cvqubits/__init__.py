@@ -14,89 +14,15 @@ import os
 # mostly spins idle.  Moot once numpy is loaded; child processes inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .tensorops import (
-    TruncatedFockSpace,
-    StateVector,
-    DensityOperator,
-    kron,
-    partial_trace,
-)
-from .fieldprep import (
-    SqueezeParam,
-    CouplingParam,
-    TruncationPolicy,
-    CavityFieldState,
-    squeezed_state,
-    binom_row,
-    inject,
-    inject_oracle,
-)
-from .jcdynamics import (
-    AtomState,
-    EvolvedState,
-    jc_unitary,
-    jc_unitary_oracle,
-    evolve,
-    reduce_atoms,
-    reduce_atoms_direct,
-    reduce_atoms_series,
-    total_excitation,
-)
-from .analytic import (
-    AtomXState,
-    WeightTable,
-    xstate_series,
-    negativity_closed_form,
-)
-from .entanglement import EntanglementReport, negativity_general
-from .sweep import (
-    ConfigError,
-    VerificationError,
-    SweepConfig,
-    SweepRow,
-    run_sweep,
-    verify,
-    preset_config,
-    write_csv,
-)
+from . import tensorops, fieldprep, jcdynamics, analytic, entanglement, sweep
+from .tensorops import *
+from .fieldprep import *
+from .jcdynamics import *
+from .analytic import *
+from .entanglement import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TruncatedFockSpace",
-    "StateVector",
-    "DensityOperator",
-    "kron",
-    "partial_trace",
-    "SqueezeParam",
-    "CouplingParam",
-    "TruncationPolicy",
-    "CavityFieldState",
-    "squeezed_state",
-    "binom_row",
-    "inject",
-    "inject_oracle",
-    "AtomState",
-    "EvolvedState",
-    "jc_unitary",
-    "jc_unitary_oracle",
-    "evolve",
-    "reduce_atoms",
-    "reduce_atoms_direct",
-    "reduce_atoms_series",
-    "total_excitation",
-    "AtomXState",
-    "WeightTable",
-    "xstate_series",
-    "negativity_closed_form",
-    "EntanglementReport",
-    "negativity_general",
-    "ConfigError",
-    "VerificationError",
-    "SweepConfig",
-    "SweepRow",
-    "run_sweep",
-    "verify",
-    "preset_config",
-    "write_csv",
-]
+__all__ = (tensorops.__all__ + fieldprep.__all__ + jcdynamics.__all__
+           + analytic.__all__ + entanglement.__all__ + sweep.__all__)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldprep import _as_coupling, _as_squeeze, _ladder_corner, _times, _whole, binom_ladder
+from .fieldprep import _as_coupling, _as_squeeze, _ladder_corner, _times, _whole
 
 __all__ = [
     "AtomXState",
@@ -90,10 +90,7 @@ class WeightTable:
         self.s = _as_squeeze(s)
         self.coupling = cp = _as_coupling(r)
         self.n_max = n_max = _whole(n_max, "n_max", 0)
-        if ladder is None:
-            self.ladder = binom_ladder(n_max + 1, cp)
-        else:
-            self.ladder = _ladder_corner(ladder, cp, n_max, n_max + 2)
+        self.ladder = _ladder_corner(ladder, cp, n_max, n_max + 2)
         powers = self.s.tanh ** np.arange(2 * n_max + 3, dtype=float)
         self.prefactor = powers / self.s.cosh**2
 

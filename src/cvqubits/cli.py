@@ -101,8 +101,9 @@ def build_parser() -> _Parser:
             p.add_argument("name", choices=("fig2", "fig3"), help="which standard grid")
         g = p.add_argument_group("grid")
         for key, (_, _, metavar, text) in _SETTINGS.items():
-            g.add_argument(f"--{key.replace('_', '-')}", metavar=metavar, help=text)
-        g.add_argument("--config", metavar="PATH", help="key = value settings file (flags still win)")
+            g.add_argument(f"--{key.replace('_', '-')}", action="append", metavar=metavar, help=text)
+        g.add_argument("--config", action="append", metavar="PATH",
+                       help="key = value settings file (flags still win)")
     return parser
 
 
@@ -151,12 +152,21 @@ def _apply(config: SweepConfig, key: str, raw, source: str) -> SweepConfig:
     return replace(config, **{field_name: _named(source, parse, raw)})
 
 
+def _once(args: argparse.Namespace, key: str):
+    """The value of flag ``--key``, or None; a flag given twice is a ConfigError."""
+    values = getattr(args, key) or [None]
+    if len(values) > 1:
+        raise ConfigError(f"--{key.replace('_', '-')} given {len(values)} times; give each flag once")
+    return values[0]
+
+
 def _resolve_config(config: SweepConfig, args: argparse.Namespace) -> SweepConfig:
-    if args.config is not None:
-        for key, value in _read_config_file(args.config).items():
-            config = _apply(config, key, value, source=f"{args.config}, key {key!r}")
-    for key in _SETTINGS:
-        value = getattr(args, key)
+    flags = {key: _once(args, key) for key in ("config", *_SETTINGS)}
+    path = flags.pop("config")
+    if path is not None:
+        for key, value in _read_config_file(path).items():
+            config = _apply(config, key, value, source=f"{path}, key {key!r}")
+    for key, value in flags.items():
         if value is not None:
             config = _apply(config, key, value, source=f"--{key.replace('_', '-')}")
     return config.validate()

@@ -29,7 +29,6 @@ __all__ = [
     "CavityFieldState",
     "squeezed_state",
     "binom_row",
-    "binom_ladder",
     "inject",
     "inject_oracle",
 ]
@@ -393,10 +392,13 @@ def binom_ladder(n_top: int, coupling) -> np.ndarray:
 def _ladder_corner(ladder, coupling: CouplingParam, n_max: int, rungs: int) -> np.ndarray:
     """The top-left ``rungs``-square corner of a caller's :func:`binom_ladder`, as a view.
 
+    Without a ladder (None) it is built here at exactly ``rungs`` rungs.
     A ladder is bit for bit the corner of any larger one for the same r.
     One that is not a 2-D ndarray, has fewer than ``rungs`` (or 2) rungs,
     or was built for another r is refused, naming the cutoff ``n_max``.
     """
+    if ladder is None:
+        return binom_ladder(rungs - 1, coupling)
     if not isinstance(ladder, np.ndarray):
         raise ValueError(f"ladder must be a 2-D array, got a {type(ladder).__name__}")
     if ladder.ndim != 2:
@@ -447,8 +449,6 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None, ladder=None) -> C
     coupling = _as_coupling(coupling)
     dim = _check_two_mode(psi)
     n_max = dim - 1
-    if ladder is not None:
-        ladder = _ladder_corner(ladder, coupling, n_max, dim)
     amps = psi.amplitudes.reshape(dim, dim)
     twins = amps.diagonal()
     if np.count_nonzero(amps) != np.count_nonzero(twins) or np.any(twins.imag != 0.0):
@@ -462,7 +462,7 @@ def inject(psi: StateVector, coupling, *, s=None, policy=None, ladder=None) -> C
     d = np.zeros(2 * dim)
     d[:dim] = twins.real
     padded = np.zeros((2 * dim, dim))
-    padded[:dim] = binom_ladder(n_max, coupling) if ladder is None else ladder
+    padded[:dim] = _ladder_corner(ladder, coupling, n_max, dim)
     amp = d[:, None] * padded  # amp[n, j] = d[n] * row[n][n - j]
     # amp[nA + k, nA] = on_a[k, nA] and L[nA + k, nA - delta] = on_b[k + delta, nA - delta]
     on_a, on_b = _diagonals(amp), _diagonals(padded)

@@ -33,13 +33,10 @@ __all__ = [
     "VerificationError",
     "SweepConfig",
     "SweepRow",
-    "CSV_HEADER",
-    "DISAGREE_TOL",
     "run_sweep",
     "write_csv",
     "verify",
     "preset_config",
-    "default_verify_config",
 ]
 
 ENGINES = ("analytic", "oracle", "both")

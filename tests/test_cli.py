@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import cvqubits.analytic as analytic_mod
 import cvqubits.fieldprep as fieldprep_mod
 import cvqubits.sweep as sweep_mod
 from cvqubits.analytic import negativity_closed_form, xstate_series
@@ -100,7 +99,7 @@ def test_walk_builds_one_ladder_per_distinct_r(config, built, monkeypatch):
         return binom_ladder(n_top, coupling)
 
     monkeypatch.setattr(sweep_mod, "binom_ladder", counted)
-    monkeypatch.setattr(analytic_mod, "binom_ladder", counted)
+    monkeypatch.setattr(fieldprep_mod, "binom_ladder", counted)
     run_sweep(config)
     assert len(calls) == built
     n_top = max(config.policy().resolve(s)[0] for s in config.s_values)
@@ -118,7 +117,7 @@ def test_verify_grid_builds_one_ladder_per_r_for_both_engines(engine, built, mon
         calls.append((n_top, coupling.r))
         return binom_ladder(n_top, coupling)
 
-    for module in (sweep_mod, analytic_mod, fieldprep_mod):
+    for module in (sweep_mod, fieldprep_mod):
         monkeypatch.setattr(module, "binom_ladder", counted)
     config = replace(default_verify_config(), engine=engine)
     run_sweep(config)
@@ -470,6 +469,19 @@ def test_cli_refuses_a_config_key_given_twice(tmp_path, capsys, text, key, lines
     assert captured.out == ""
     assert captured.err.startswith(f"cvqubits: error: {cfg}:{lines[1]}: key {key!r} ")
     assert f"line {lines[0]}" in captured.err
+
+
+@pytest.mark.parametrize("flags,flag", [
+    (["--s", "0.3", "--s", "0.5"], "--s"),
+    (["--s", "0.3", "--lt-stop", "1", "--lt-stop=2"], "--lt-stop"),
+    (["--s", "0.3", "--config", "a.cfg", "--config", "b.cfg"], "--config"),
+], ids=["s-twice", "lt-stop-two-spellings", "config-twice"])
+def test_cli_refuses_a_flag_given_twice(flags, flag, capsys):
+    # a repeated flag used to keep its last value, where a repeated config key is refused
+    assert main(["sweep", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cvqubits: error: {flag} given 2 times; give each flag once\n"
 
 
 def test_cli_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

@@ -46,6 +46,23 @@ def test_public_surface_is_pinned():
     assert not hasattr(cvqubits.AtomXState, "point")
 
 
+OWNERS = ["tensorops", "fieldprep", "jcdynamics", "analytic", "entanglement", "sweep"]
+
+
+def test_the_surface_is_declared_once_by_its_owners():
+    # the package spells no name itself: its __all__ is its modules', each
+    # name bound to its owner's object; test_every_exported_name_resolves
+    # refuses a duplicate, so no name has two owners
+    owners = [importlib.import_module(f"cvqubits.{name}") for name in OWNERS]
+    assert cvqubits.__all__ == [n for module in owners for n in module.__all__]
+    for module in owners:
+        for n in module.__all__:
+            assert getattr(cvqubits, n) is getattr(module, n), n
+    bound = {}
+    exec("from cvqubits import *", bound)
+    assert set(bound) - {"__builtins__"} == PUBLIC
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_removed_names_stay_gone(name):
     # one analytic call serves a time and a series, and negativity_general checks and
@@ -62,14 +79,16 @@ print(cvqubits.__file__)
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1)
+print(sorted(m for m in ("mmap", "argparse", "cvqubits.cli") if m in sys.modules))
 """
 
 
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "given"])
 def test_fresh_import_loads_no_scipy_and_keeps_the_callers_blas_threads(given, expected):
     # pytest has numpy loaded already, so the import is checked in a fresh
-    # interpreter: it must not pull in scipy (about 0.3 s), and it sets one
-    # BLAS thread only where the caller set none
+    # interpreter: it must not pull in scipy (about 0.3 s), nor the front end
+    # or mmap, which the CLI and the composite load when they run, and it sets
+    # one BLAS thread only where the caller set none
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join([str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -77,9 +96,10 @@ def test_fresh_import_loads_no_scipy_and_keeps_the_callers_blas_threads(given, e
         env["OPENBLAS_NUM_THREADS"] = given
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    where, scipy_modules, threads_var, threads = proc.stdout.splitlines()
+    where, scipy_modules, threads_var, threads, deferred = proc.stdout.splitlines()
     assert Path(where).parent.parent == src
     assert scipy_modules == "[]"
+    assert deferred == "[]"
     assert threads_var == expected
     if given is None:  # no idle OpenBLAS worker beside the calling thread
         assert threads == "1"
